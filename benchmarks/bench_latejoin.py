@@ -7,13 +7,14 @@ on the running players' pacing.
 
 from repro.core.config import SyncConfig
 from repro.core.inputs import IdleSource, PadSource, RandomSource
-from repro.core.latejoin import LateJoinerVM, register_late_join
+from repro.core.engine import SitePeer, SiteRuntime
+from repro.core.latejoin import LateJoinEngine, register_late_join
 from repro.core.multisite import (
     build_session,
     players_and_observers_plan,
     site_address,
 )
-from repro.core.vm import SitePeer, SiteRuntime
+from repro.core.vm import DistributedVM
 from repro.emulator.machine import create_game
 from repro.harness.report import format_table
 from repro.metrics.recorder import ConsistencyChecker
@@ -45,13 +46,14 @@ def run_latejoin(game, frames, join_time=2.0):
         peers=[SitePeer(s, site_address(s)) for s in range(3)],
         game_id=game,
     )
-    joiner = LateJoinerVM(
-        session.loop,
-        session.network,
+    engine = LateJoinEngine(
         joiner_runtime,
-        max_frames=frames,
-        join_time=join_time,
+        frames,
         donor_site=0,
+        frame_compute_time=plan.frame_compute_time,
+    )
+    joiner = DistributedVM(
+        session.loop, session.network, engine, start_delay=join_time
     )
     register_late_join(session.vms, session.vms[0], joiner_site=2)
     session.vms.append(joiner)
@@ -65,7 +67,7 @@ def run_latejoin(game, frames, join_time=2.0):
         "game": game,
         "snapshot_bytes": len(snapshot.state),
         "wire_bytes": len(snapshot.encode()),
-        "joined_at_frame": joiner.joined_at_frame,
+        "joined_at_frame": joiner.engine.joined_at_frame,
         "overlap_verified": overlap,
         "player_frame_time": mean(player_times),
     }

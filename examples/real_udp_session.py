@@ -2,15 +2,15 @@
 """Two sites over *real* UDP sockets on localhost, in wall-clock time.
 
 This is the deployment shape of the paper's system: the very same sans-IO
-protocol objects that the simulator drives are here bound to OS sockets and
-the monotonic clock.  Two threads stand in for the two PCs (run the script
-twice with --site 0/--site 1 on two machines for the real thing).
+engine that the simulator drives is here handed to the asyncio driver,
+bound to OS sockets and the event loop's monotonic clock.  Two coroutines
+on one event loop stand in for the two PCs.
 
     python examples/real_udp_session.py [--frames 300] [--fps 60]
 """
 
 import argparse
-import threading
+import asyncio
 
 from repro import (
     ConsistencyChecker,
@@ -22,24 +22,20 @@ from repro import (
     InputAssignment,
     create_game,
 )
-from repro.core.realtime import RealtimeVM
-from repro.net.udp import UdpSocket
+from repro.core.aio import AioSite
+from repro.core.engine import SiteEngine
+from repro.net.udp import AsyncUdpEndpoint
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--frames", type=int, default=300)
-    parser.add_argument("--fps", type=float, default=60.0)
-    args = parser.parse_args()
-
-    config = SyncConfig(cfps=args.fps)
+async def run_sites(frames: int, fps: float):
+    config = SyncConfig(cfps=fps)
     assignment = InputAssignment.standard(2)
 
-    sockets = [UdpSocket(), UdpSocket()]
-    peers = [SitePeer(i, sockets[i].address) for i in range(2)]
-    print(f"site 0 on {sockets[0].address}, site 1 on {sockets[1].address}")
+    endpoints = [await AsyncUdpEndpoint.open() for __ in range(2)]
+    peers = [SitePeer(i, endpoints[i].address) for i in range(2)]
+    print(f"site 0 on {endpoints[0].address}, site 1 on {endpoints[1].address}")
 
-    vms = []
+    sites = []
     for site in range(2):
         runtime = SiteRuntime(
             config=config,
@@ -50,36 +46,41 @@ def main() -> None:
             peers=peers,
             game_id="shooter",
         )
-        vms.append(RealtimeVM(runtime, sockets[site], max_frames=args.frames))
+        # A driver is built from an engine: pass a RollbackEngine or an
+        # AdaptiveEngine here instead to run those modes over real UDP.
+        engine = SiteEngine(runtime, frames, linger=2.0)
+        sites.append(AioSite(engine, endpoints[site]))
 
-    threads = [
-        threading.Thread(target=vm.run, name=f"site{i}") for i, vm in enumerate(vms)
-    ]
-    print(f"running {args.frames} frames at {args.fps} FPS over real UDP ...")
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    for socket in sockets:
-        socket.close()
+    print(f"running {frames} frames at {fps} FPS over real UDP ...")
+    try:
+        await asyncio.gather(*(site.run() for site in sites))
+    finally:
+        for endpoint in endpoints:
+            endpoint.close()
+    return sites
 
-    for vm in vms:
-        if vm.error is not None:
-            raise SystemExit(f"site {vm.runtime.site_no} failed: {vm.error}")
 
-    traces = [vm.runtime.trace for vm in vms]
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--frames", type=int, default=300)
+    parser.add_argument("--fps", type=float, default=60.0)
+    args = parser.parse_args()
+
+    sites = asyncio.run(run_sites(args.frames, args.fps))
+
+    traces = [site.runtime.trace for site in sites]
     verified = ConsistencyChecker().verify_traces(traces)
     print(f"converged: {verified} frames bit-identical across both sites")
-    for vm in vms:
-        times = vm.runtime.trace.frame_times()
+    for site in sites:
+        times = site.runtime.trace.frame_times()
         mean_ms = sum(times) / len(times) * 1000
         print(
-            f"  site {vm.runtime.site_no}: mean frame time {mean_ms:.2f} ms "
+            f"  site {site.runtime.site_no}: mean frame time {mean_ms:.2f} ms "
             f"(target {1000 / args.fps:.2f} ms), "
-            f"state 0x{vm.runtime.machine.checksum():08x}"
+            f"state 0x{site.runtime.machine.checksum():08x}"
         )
     print("\nfinal screen (site 0):")
-    print(vms[0].runtime.machine.render_text())
+    print(sites[0].runtime.machine.render_text())
 
 
 if __name__ == "__main__":

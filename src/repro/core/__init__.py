@@ -16,10 +16,11 @@ Layout mirrors the paper's structure:
 * :mod:`repro.core.engine` — Algorithm 1 as a sans-IO engine:
   ``handle(event) -> [effects]`` / ``poll(now) -> [effects]``, hosting the
   whole orchestration (handshake, pumps, frame loop, linger) exactly once.
-* :mod:`repro.core.driver` — driver-support helpers shared by all shells.
+* :mod:`repro.core.driver` — driver-support helpers shared by both drivers.
 * :mod:`repro.core.vm` — the discrete-event driver (simulator).
-* :mod:`repro.core.realtime` — the wall-clock driver over real UDP.
-* :mod:`repro.core.aio` — the asyncio driver: many sessions, one process.
+* :mod:`repro.core.aio` — the asyncio driver over real UDP: many sessions,
+  one process.  Both drivers are built from an engine, so every
+  consistency mode and join kind runs on either.
 * :mod:`repro.core.multisite` — N players and observers (journal extension).
 * :mod:`repro.core.latejoin` — late joiners via savestate + replay.
 * :mod:`repro.core.replay` — input movies (record / verify / replay).
@@ -39,10 +40,10 @@ from repro.core.inputs import (
     RecordedSource,
     ScriptedSource,
 )
-from repro.core.engine import SiteEngine
+from repro.core.engine import SiteEngine, SitePeer, SiteRuntime
 from repro.core.lockstep import LockstepSync
 from repro.core.pacing import FramePacer
-from repro.core.vm import DistributedVM, SitePeer, SiteRuntime
+from repro.core.vm import DistributedVM
 
 __all__ = [
     "BUTTON_NAMES",

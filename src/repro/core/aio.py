@@ -1,32 +1,34 @@
-"""Asyncio driver — many lockstep sessions multiplexed on one process.
+"""Asyncio driver — many sessions multiplexed on one process over real UDP.
 
-The ROADMAP's lobby-server shape: a site is not a thread but a coroutine,
-so one event loop hosts every site of every concurrent session.  Each
-:class:`AioSite` couples a :class:`~repro.core.engine.SiteEngine` to an
-:class:`~repro.net.udp.AsyncUdpEndpoint` and does nothing but
+The deployment shape: a site is not a thread but a coroutine, so one event
+loop hosts every site of every concurrent session.  Each :class:`AioSite`
+is built from an engine — any of them: lockstep, rollback, adaptive,
+late-join, resume — and an :class:`~repro.net.udp.AsyncUdpEndpoint`, and
+does nothing but
 
     wait until (next engine deadline) or (datagram arrives)
     feed the engine, apply its effects
 
-— the same ~30-line shell as the simulator and thread drivers, proving
-the sans-IO seam: the protocol neither knows nor cares which of the three
-runtimes is underneath.  Wire concerns (the v2 codec, batch coalescing,
-the bandwidth budget) all live behind the engine's outbox; this driver
-only ever sees finished datagrams.
+— the same ~30-line shell as the simulator driver
+(:class:`repro.core.vm.DistributedVM`), proving the sans-IO seam: the
+protocol neither knows nor cares which runtime is underneath.  Wire
+concerns (the v2 codec, batch coalescing, the bandwidth budget) all live
+behind the engine's outbox; this driver only ever sees finished datagrams.
 
 :func:`host_sessions` wires N independent two-site sessions (distinct
 UDP ports, distinct session ids) onto the running loop and drives them
 all to completion concurrently.  Because merged input words depend only
 on the input sources and the configured lag — never on wall-clock timing —
 the per-frame checksums of a hosted session equal those of the simulator
-for the same seeds (:func:`simulator_checksums` computes the twin).
+for the same seeds and engine constructor (:func:`simulator_checksums`
+computes the twin).
 """
 
 from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.core.config import SyncConfig
 from repro.core.driver import PresentationStatus, apply_effects, feed_datagrams
@@ -37,30 +39,21 @@ from repro.obs.registry import aggregate_snapshots, to_prometheus
 
 
 class AioSite:
-    """Drives one engine as a coroutine on the running event loop."""
+    """Drives the engine it is handed as a coroutine on the running loop."""
 
-    def __init__(
-        self,
-        runtime: SiteRuntime,
-        endpoint: AsyncUdpEndpoint,
-        max_frames: int,
-        linger: float = 2.0,
-        engine: Optional[SiteEngine] = None,
-    ) -> None:
-        self.runtime = runtime
+    def __init__(self, engine: SiteEngine, endpoint: AsyncUdpEndpoint) -> None:
+        self.engine = engine
+        self.runtime = engine.runtime
         self.endpoint = endpoint
-        #: An injected engine (e.g. a ResumeEngine) replaces the default.
-        self.engine = (
-            engine
-            if engine is not None
-            else SiteEngine(runtime, max_frames, linger=linger)
-        )
         self.finished = False
         self.status = PresentationStatus()
         #: Set when :meth:`run` died; the host process stays up and the
         #: snapshot API reports the failure instead.
         self.error: Optional[BaseException] = None
         self._stop_requested = False
+        #: True while sends keep failing: one ``error`` trace record per
+        #: burst, not one per datagram.
+        self._send_failing = False
         # ICMP errors (port unreachable after a peer crash) surface through
         # the endpoint's error_received; count them instead of dropping.
         endpoint.on_transport_error = self._on_transport_error
@@ -106,10 +99,24 @@ class AioSite:
     def _send(self, payload: bytes, destination: str) -> None:
         try:
             self.endpoint.send(payload, destination)
-        except OSError:
-            # Same policy as the thread driver: a failed send is a lost
-            # datagram, which retransmission already covers.
+        except OSError as exc:
+            # A failed send (ENETUNREACH, an EMSGSIZE burst, a dying NIC) is
+            # a lost datagram: count it and let the unacked-window
+            # retransmission recover once sends work again.  A *persistent*
+            # failure shows up as peer silence and rides the liveness path
+            # (degraded → suspended → peer-lost) instead of crashing here.
             self.runtime.metrics.send_errors.inc()
+            if not self._send_failing:
+                self._send_failing = True
+                runtime = self.runtime
+                runtime.events.emit(
+                    "error",
+                    asyncio.get_running_loop().time(),
+                    runtime.frame,
+                    error=f"send to {destination} failed: {exc!r}",
+                )
+        else:
+            self._send_failing = False
 
     def _on_transport_error(self, exc: OSError) -> None:
         self.runtime.metrics.send_errors.inc()
@@ -210,6 +217,11 @@ class AioSessionSpec:
     #: leaving the other site to wait this bound out — same as the other
     #: drivers).
     linger: float = 2.0
+    #: Builds each site's engine as ``make_engine(runtime, frames,
+    #: **options)`` — the same constructor contract as
+    #: :func:`repro.core.multisite.build_session`, so any consistency mode
+    #: runs here and on the simulator alike.
+    make_engine: Callable[..., SiteEngine] = SiteEngine
 
     def resolved_config(self) -> SyncConfig:
         return self.config if self.config is not None else SyncConfig()
@@ -267,11 +279,10 @@ async def host_sessions(
                     session_id=session_id,
                 )
                 runtimes.append(runtime)
-                group.append(
-                    AioSite(
-                        runtime, endpoints[s], spec.frames, linger=spec.linger
-                    )
+                engine = spec.make_engine(
+                    runtime, spec.frames, linger=spec.linger
                 )
+                group.append(AioSite(engine, endpoints[s]))
             hosted.add_session(group)
             grouped.append(runtimes)
         await hosted.run()
@@ -318,8 +329,11 @@ def simulator_checksums(spec: AioSessionSpec, rtt: float = 0.040) -> List[int]:
         spec.resolved_config(),
         machine_factory=lambda: create_game(spec.game),
         sources=spec.sources(),
+        game_id=spec.game,
         max_frames=spec.frames,
     )
-    session = build_session(plan, NetemConfig.for_rtt(rtt))
+    session = build_session(
+        plan, NetemConfig.for_rtt(rtt), make_engine=spec.make_engine
+    )
     session.run()
     return list(session.vms[0].runtime.trace.checksums)

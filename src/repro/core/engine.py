@@ -18,19 +18,25 @@ Three layers live here:
   (session control, lockstep, pacer, RTT estimator, machine, input source,
   trace).  It turns received datagrams into state updates plus reply
   datagrams, and builds outbound sync messages.
-* :class:`SiteEngine` — the orchestration that used to be copy-pasted into
-  every driver: the start handshake, the send pump (the paper's 20 ms
+* :class:`SiteEngine` — the orchestration every driver shares: the start
+  handshake, the send pump (the paper's 20 ms
   outbound batching and ~5 ms thread-slice delay, §4.2), the ping pump, the
   frame loop with its SyncInput gate, late-join state serving, and the
   linger phase.  The engine is a pure state machine: drivers feed it
   :class:`Event` objects (datagrams, timer ticks, shutdown) and apply the
   :class:`Effect` objects it returns (datagrams to send, timers to arm,
   frames to present).  It contains no clocks, no sockets and no sleeping.
-* The drivers — :class:`repro.core.vm.DistributedVM` (discrete-event),
-  :class:`repro.core.realtime.RealtimeVM` (wall clock + UDP) and
-  :class:`repro.core.aio.AioSite` (asyncio, many sessions per process) —
-  are thin shells that move bytes and time between their runtime and the
-  engine.
+  Consistency modes and join kinds are subclasses overriding its hooks:
+  :class:`~repro.core.rollback.RollbackEngine`,
+  :class:`~repro.core.policy.AdaptiveEngine`,
+  :class:`~repro.core.latejoin.LateJoinEngine` and
+  :class:`~repro.core.latejoin.ResumeEngine`.
+* The drivers — :class:`repro.core.vm.DistributedVM` (discrete-event) and
+  :class:`repro.core.aio.AioSite` (asyncio over real UDP, many sessions
+  per process) — are thin shells that move bytes and time between their
+  runtime and the engine.  There is one driver contract: a driver is
+  built from an engine (``DistributedVM(loop, network, engine)``,
+  ``AioSite(engine, endpoint)``), so every engine runs on every driver.
 
 ``Transition`` is a black box: any object satisfying :class:`GameMachine`
 works, and the sync layer never inspects it (the paper's "game
@@ -1004,7 +1010,10 @@ class SiteEngine:
         self.frames_complete = False
         #: True once ``Finished`` has been emitted.
         self.done = False
-        self.on_snapshot_served = None  # set via the driver facade
+        #: Harness hook fired when this site serves a savestate:
+        #: ``callback(joiner_site, snapshot_frame)``.  Stands in for the
+        #: session-control broadcast announcing the joiner.
+        self.on_snapshot_served = None
         #: Per-joiner cached snapshot: repeated STATE_REQUESTs (the joiner
         #: retries until one arrives) must all answer with the *same* frame,
         #: or the admission bookkeeping would race the joiner's choice.

@@ -31,7 +31,9 @@ page-CRC path).
 With the sans-IO refactor the joiner is :class:`LateJoinEngine` — the
 ordinary :class:`~repro.core.engine.SiteEngine` with the start handshake
 replaced by an *acquire* phase (request timer + snapshot wait).  Any
-driver can host it; :class:`LateJoinerVM` is the discrete-event shell.
+driver can host it: on the simulator, a
+:class:`~repro.core.vm.DistributedVM` whose ``start_delay`` is the join
+time.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from repro.core.engine import (
     TIMER_PING,
 )
 from repro.core.messages import Message, Resume, StateRequest
-from repro.core.vm import DistributedVM
 
 TIMER_REQUEST = "state-request"
 
@@ -157,43 +158,6 @@ class LateJoinEngine(SiteEngine):
         super()._advance(now, effects)
 
 
-class LateJoinerVM(DistributedVM):
-    """Discrete-event shell: a site that joins at ``join_time``.
-
-    Construction mirrors :class:`DistributedVM`; the donor site must have
-    ``runtime.allow_state_requests = True``.
-    """
-
-    def __init__(
-        self,
-        *args: object,
-        join_time: float = 1.0,
-        donor_site: int = 0,
-        **kwargs: object,
-    ) -> None:
-        self._donor_site = donor_site
-        super().__init__(*args, **kwargs)  # type: ignore[arg-type]
-        self.join_time = join_time
-        self.start_delay = join_time
-
-    def _build_engine(self, **options: object) -> LateJoinEngine:
-        return LateJoinEngine(
-            self.runtime,
-            self.max_frames,
-            linger=self.LINGER,
-            donor_site=self._donor_site,
-            **options,
-        )
-
-    @property
-    def donor_site(self) -> int:
-        return self.engine.donor_site
-
-    @property
-    def joined_at_frame(self) -> Optional[int]:
-        return self.engine.joined_at_frame
-
-
 class ResumeEngine(LateJoinEngine):
     """A crashed-and-restarted site rejoining its suspended session.
 
@@ -247,34 +211,6 @@ class ResumeEngine(LateJoinEngine):
         runtime.metrics.resumes.inc()
 
 
-class ResumeVM(DistributedVM):
-    """Discrete-event shell for a restarted site resuming at ``resume_time``."""
-
-    def __init__(
-        self,
-        *args: object,
-        resume_time: float = 1.0,
-        donor_site: int = 0,
-        last_acked_frame: int = -1,
-        **kwargs: object,
-    ) -> None:
-        self._donor_site = donor_site
-        self._last_acked_frame = last_acked_frame
-        super().__init__(*args, **kwargs)  # type: ignore[arg-type]
-        self.resume_time = resume_time
-        self.start_delay = resume_time
-
-    def _build_engine(self, **options: object) -> ResumeEngine:
-        return ResumeEngine(
-            self.runtime,
-            self.max_frames,
-            linger=self.LINGER,
-            donor_site=self._donor_site,
-            last_acked_frame=self._last_acked_frame,
-            **options,
-        )
-
-
 def register_late_join(session_vms, donor_vm, joiner_site: int) -> None:
     """Prepare a running session for a late joiner.
 
@@ -305,4 +241,4 @@ def register_late_join(session_vms, donor_vm, joiner_site: int) -> None:
                     site, first_gating, ack_hint=snapshot_frame
                 )
 
-    donor_vm.on_snapshot_served = on_served
+    donor_vm.engine.on_snapshot_served = on_served

@@ -3,7 +3,7 @@
 The paper presents ``SyncInput(I, F)`` as a blocking call that loops over
 send/receive until the remote input for the current frame has arrived.  Here
 the same state is factored out of the loop so it can be driven by either the
-discrete-event simulator or a threaded wall-clock driver:
+discrete-event simulator or the asyncio wall-clock driver:
 
 * :meth:`LockstepSync.buffer_local_input` — lines 1–5 (local lag buffering),
 * :meth:`LockstepSync.build_sync` — lines 7–11 (the ``sd`` message),

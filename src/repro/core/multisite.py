@@ -16,7 +16,8 @@ from typing import Callable, List, Optional, Sequence
 
 from repro.core.config import SyncConfig
 from repro.core.inputs import IdleSource, InputAssignment, InputSource
-from repro.core.vm import DistributedVM, GameMachine, SitePeer, SiteRuntime
+from repro.core.engine import GameMachine, SiteEngine, SitePeer, SiteRuntime
+from repro.core.vm import DistributedVM
 from repro.metrics.timeserver import TimeServer
 from repro.net.netem import NetemConfig
 from repro.net.simnet import SimNetwork
@@ -49,7 +50,7 @@ class SessionPlan:
     #: OS sleep overshoot bound (the paper's testbed: Windows XP, ~10 ms).
     timer_granularity: float = 0.0
     #: Sites participating in the start handshake (None = all).  Late
-    #: joiners are excluded here and driven by LateJoinerVM instead.
+    #: joiners are excluded here and driven by a LateJoinEngine instead.
     handshake_sites: Optional[List[int]] = None
 
     def __post_init__(self) -> None:
@@ -99,7 +100,7 @@ class Session:
     def max_frames_of(self, site: int) -> int:
         for vm in self.vms:
             if vm.runtime.site_no == site:
-                return vm.max_frames
+                return vm.engine.max_frames
         raise KeyError(site)
 
     def runtimes(self) -> List[SiteRuntime]:
@@ -113,6 +114,7 @@ def build_session(
     with_time_server: bool = True,
     excluded_sites: Optional[Sequence[int]] = None,
     transport: str = "udp",
+    make_engine: Callable[..., SiteEngine] = SiteEngine,
 ) -> Session:
     """Wire a full session over a uniformly-impaired mesh network.
 
@@ -120,7 +122,10 @@ def build_session(
     late-join harness, which drives them separately).  ``transport`` selects
     the paper's UDP scheme (``"udp"``) or the TCP-like baseline (``"tcp"``,
     §3.1 ablation; the time server is disabled there because its reports
-    would ride the reliable stream and distort it).
+    would ride the reliable stream and distort it).  ``make_engine`` builds
+    each site's engine as ``make_engine(runtime, max_frames, **options)``
+    with the plan's engine options; pass an engine class or a factory that
+    adds mode-specific arguments (a rollback engine's ``spec_machine``).
     """
     loop = loop if loop is not None else EventLoop()
     n = len(plan.assignment)
@@ -163,17 +168,12 @@ def build_session(
             session_id=plan.session_id,
             handshake_sites=plan.handshake_sites,
         )
-        vm = DistributedVM(
-            loop=loop,
-            network=network,
-            runtime=runtime,
-            max_frames=plan.max_frames,
+        engine = make_engine(
+            runtime,
+            plan.max_frames,
             frame_compute_time=plan.frame_compute_time,
             seed=plan.seed,
             time_server_address=time_server.address if time_server else None,
-            start_delay=(
-                plan.start_delays[s] if plan.start_delays is not None else 0.0
-            ),
             frame_loop_delay=(
                 plan.frame_loop_delays[s]
                 if plan.frame_loop_delays is not None
@@ -181,7 +181,8 @@ def build_session(
             ),
             timer_granularity=plan.timer_granularity,
         )
-        vms.append(vm)
+        start_delay = plan.start_delays[s] if plan.start_delays is not None else 0.0
+        vms.append(DistributedVM(loop, network, engine, start_delay))
     return Session(loop=loop, network=network, vms=vms, time_server=time_server, plan=plan)
 
 

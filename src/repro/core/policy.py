@@ -65,12 +65,15 @@ from repro.core.engine import (
     PHASE_FRAME_WAIT,
     PHASE_GATE,
     SiteEngine,
-    SitePeer,
     SiteRuntime,
 )
-from repro.core.inputs import InputAssignment, InputSource
+from repro.core.inputs import InputSource
 from repro.core.messages import MODE_LOCKSTEP, MODE_ROLLBACK, SwitchRequest
-from repro.core.rollback import PredictorSpec, RollbackEngine, RollbackVM
+from repro.core.rollback import (
+    PredictorSpec,
+    RollbackEngine,
+    build_speculative_session,
+)
 from repro.core.rtt import RttEstimator
 
 #: Human-readable mode names for events, snapshots and test output.
@@ -450,47 +453,6 @@ class AdaptiveEngine(RollbackEngine):
         self._log_switch("commit", now, runtime.frame, mode, self._switch_seq)
 
 
-class AdaptiveVM(RollbackVM):
-    """Discrete-event shell around :class:`AdaptiveEngine`."""
-
-    def __init__(
-        self,
-        *args: object,
-        initial_mode: int = MODE_LOCKSTEP,
-        **kwargs: object,
-    ) -> None:
-        self._initial_mode = initial_mode
-        super().__init__(*args, **kwargs)  # type: ignore[arg-type]
-
-    def _build_engine(self, **options: object) -> AdaptiveEngine:
-        return AdaptiveEngine(
-            self.runtime,
-            self.max_frames,
-            linger=self.LINGER,
-            spec_machine=self._spec_machine,
-            speculation_window=self._speculation_window,
-            predictor=self._predictor,
-            initial_mode=self._initial_mode,
-            **options,
-        )
-
-    @property
-    def mode(self) -> int:
-        return self.engine.mode
-
-    @property
-    def mode_name(self) -> str:
-        return self.engine.mode_name
-
-    @property
-    def policy_switch_count(self) -> int:
-        return self.engine.policy_switch_count
-
-    @property
-    def switch_log(self):
-        return self.engine.switch_log
-
-
 def build_adaptive_session(
     game_factory,
     sources: List[InputSource],
@@ -506,56 +468,21 @@ def build_adaptive_session(
 ):
     """Wire an adaptive-consistency session on the simulator.
 
-    Mirrors :func:`repro.core.rollback.build_rollback_session` but keeps
-    the paper's default local lag (the lockstep starting point) and
-    instantiates :class:`AdaptiveVM` sites that may switch modes
-    mid-session under the configured consistency policy.
+    Sites run :class:`AdaptiveEngine` and may switch modes mid-session
+    under the configured consistency policy; the paper's default local lag
+    is the lockstep starting point.
     """
-    from repro.core.multisite import Session, site_address
-    from repro.metrics.timeserver import TimeServer
-    from repro.net.simnet import SimNetwork
-    from repro.sim.eventloop import EventLoop
-
-    config = config if config is not None else SyncConfig()
-    num_sites = len(sources)
-    loop = EventLoop()
-    network = SimNetwork(loop, seed=seed)
-    for a in range(num_sites):
-        for b in range(a + 1, num_sites):
-            network.connect(site_address(a), site_address(b), netem)
-    time_server = TimeServer(network)
-    for s in range(num_sites):
-        time_server.attach_site(network, site_address(s))
-
-    assignment = InputAssignment.standard(num_sites)
-    peers = [SitePeer(s, site_address(s)) for s in range(num_sites)]
-    vms = []
-    for s in range(num_sites):
-        runtime = SiteRuntime(
-            config=config,
-            site_no=s,
-            assignment=assignment,
-            machine=game_factory(),  # the confirmed machine in both modes
-            source=sources[s],
-            peers=peers,
-            game_id=game_id,
-            session_id=1,
-        )
-        vms.append(
-            AdaptiveVM(
-                loop,
-                network,
-                runtime,
-                max_frames=frames,
-                frame_compute_time=frame_compute_time,
-                seed=seed,
-                time_server_address=time_server.address,
-                spec_machine=game_factory(),
-                speculation_window=speculation_window,
-                predictor=predictor,
-                initial_mode=initial_mode,
-            )
-        )
-    return Session(
-        loop=loop, network=network, vms=vms, time_server=time_server
+    return build_speculative_session(
+        AdaptiveEngine,
+        game_factory,
+        sources,
+        netem,
+        config=config if config is not None else SyncConfig(),
+        game_id=game_id,
+        frames=frames,
+        seed=seed,
+        frame_compute_time=frame_compute_time,
+        speculation_window=speculation_window,
+        predictor=predictor,
+        initial_mode=initial_mode,
     )

@@ -51,13 +51,11 @@ from repro.core.engine import (
     GameMachine,
     PHASE_CATCHUP,
     Present,
-    SitePeer,
     SiteEngine,
     SiteRuntime,
     TIMER_LINGER,
 )
 from repro.core.inputs import BITS_PER_PLAYER, InputAssignment, InputSource
-from repro.core.vm import DistributedVM
 
 
 def _state_mark(machine: GameMachine) -> int:
@@ -566,52 +564,44 @@ class RollbackEngine(SiteEngine):
         super()._advance(now, effects)
 
 
-class RollbackVM(DistributedVM):
-    """Discrete-event shell around :class:`RollbackEngine`.
+def build_speculative_session(
+    engine_class,
+    game_factory,
+    sources: List[InputSource],
+    netem,
+    *,
+    config: SyncConfig,
+    game_id: str,
+    frames: int,
+    seed: int,
+    frame_compute_time: float,
+    **engine_options: object,
+):
+    """:func:`repro.core.multisite.build_session` with ``engine_class``
+    sites, each with a confirmed and a speculative machine from
+    ``game_factory``; ``engine_options`` go to every engine."""
+    from repro.core.multisite import SessionPlan, build_session
 
-    Construction mirrors :class:`DistributedVM` plus ``spec_machine`` and
-    ``speculation_window`` (see :class:`RollbackEngine`).
-    """
-
-    def __init__(
-        self,
-        *args: object,
-        spec_machine: GameMachine,
-        speculation_window: int = 60,
-        predictor: PredictorSpec = None,
-        **kwargs: object,
-    ) -> None:
-        self._spec_machine = spec_machine
-        self._speculation_window = speculation_window
-        self._predictor = predictor
-        super().__init__(*args, **kwargs)  # type: ignore[arg-type]
-
-    def _build_engine(self, **options: object) -> RollbackEngine:
-        return RollbackEngine(
-            self.runtime,
-            self.max_frames,
-            linger=self.LINGER,
-            spec_machine=self._spec_machine,
-            speculation_window=self._speculation_window,
-            predictor=self._predictor,
+    def make_engine(runtime, max_frames, **options):
+        return engine_class(
+            runtime,
+            max_frames,
+            spec_machine=game_factory(),
+            **engine_options,
             **options,
         )
 
-    @property
-    def spec_machine(self) -> GameMachine:
-        return self.engine.spec_machine
-
-    @property
-    def speculation_window(self) -> int:
-        return self.engine.speculation_window
-
-    @property
-    def rollback_stats(self) -> RollbackStats:
-        return self.engine.rollback_stats
-
-    @property
-    def confirmed_frontier(self) -> int:
-        return self.engine.confirmed_frontier
+    plan = SessionPlan(
+        config=config,
+        assignment=InputAssignment.standard(len(sources)),
+        machines=[game_factory() for __ in sources],
+        sources=sources,
+        game_id=game_id,
+        max_frames=frames,
+        frame_compute_time=frame_compute_time,
+        seed=seed,
+    )
+    return build_session(plan, netem, make_engine=make_engine)
 
 
 def build_rollback_session(
@@ -625,56 +615,18 @@ def build_rollback_session(
     config: Optional[SyncConfig] = None,
     predictor: PredictorSpec = None,
 ):
-    """Wire a two-or-more-site rollback session on the simulator.
-
-    Mirrors :func:`repro.core.multisite.build_session` but instantiates
-    :class:`RollbackVM` sites (each with a shadow and a speculative machine
-    from ``game_factory``) under a zero-lag configuration.
-    """
-    from repro.core.multisite import Session, site_address
-    from repro.metrics.timeserver import TimeServer
-    from repro.net.simnet import SimNetwork
-    from repro.sim.eventloop import EventLoop
-
-    config = config if config is not None else SyncConfig(buf_frame=0)
-    num_sites = len(sources)
-    loop = EventLoop()
-    network = SimNetwork(loop, seed=seed)
-    for a in range(num_sites):
-        for b in range(a + 1, num_sites):
-            network.connect(site_address(a), site_address(b), netem)
-    time_server = TimeServer(network)
-    for s in range(num_sites):
-        time_server.attach_site(network, site_address(s))
-
-    assignment = InputAssignment.standard(num_sites)
-    peers = [SitePeer(s, site_address(s)) for s in range(num_sites)]
-    vms = []
-    for s in range(num_sites):
-        runtime = SiteRuntime(
-            config=config,
-            site_no=s,
-            assignment=assignment,
-            machine=game_factory(),  # the confirmed shadow
-            source=sources[s],
-            peers=peers,
-            game_id="rollback",
-            session_id=1,
-        )
-        vms.append(
-            RollbackVM(
-                loop,
-                network,
-                runtime,
-                max_frames=frames,
-                frame_compute_time=frame_compute_time,
-                seed=seed,
-                time_server_address=time_server.address,
-                spec_machine=game_factory(),
-                speculation_window=speculation_window,
-                predictor=predictor,
-            )
-        )
-    return Session(
-        loop=loop, network=network, vms=vms, time_server=time_server
+    """Wire a two-or-more-site rollback session on the simulator, under a
+    zero-lag configuration unless ``config`` says otherwise."""
+    return build_speculative_session(
+        RollbackEngine,
+        game_factory,
+        sources,
+        netem,
+        config=config if config is not None else SyncConfig(buf_frame=0),
+        game_id="rollback",
+        frames=frames,
+        seed=seed,
+        frame_compute_time=frame_compute_time,
+        speculation_window=speculation_window,
+        predictor=predictor,
     )

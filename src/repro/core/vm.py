@@ -1,103 +1,63 @@
-"""Discrete-event driver for the sans-IO :class:`SiteEngine`.
+"""Discrete-event driver: runs any engine it is handed on the simulator.
 
 The Algorithm 1 orchestration itself — handshake, send/ping pumps, the
-frame loop and the linger phase — lives in :mod:`repro.core.engine`; this
-module only adapts it to the discrete-event world: one simulator process
-per site that sleeps until the engine's next timer deadline or an incoming
-datagram, whichever is first.
-
-:class:`SiteRuntime`, :class:`SitePeer` and :class:`GameMachine` moved to
-:mod:`repro.core.engine` with the extraction; they are re-exported here
-unchanged for compatibility.
+frame loop and the linger phase — lives in :mod:`repro.core.engine`, and
+every consistency mode or join kind is an engine class there
+(:class:`~repro.core.rollback.RollbackEngine`,
+:class:`~repro.core.policy.AdaptiveEngine`,
+:class:`~repro.core.latejoin.LateJoinEngine`, ...).  This module only
+adapts an engine to the discrete-event world: one simulator process per
+site that sleeps until the engine's next timer deadline or an incoming
+datagram, whichever is first.  The asyncio driver
+(:class:`repro.core.aio.AioSite`) is the same shell over real UDP, with the
+same contract: a driver is built from an engine.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Optional
+from typing import Generator, Optional
 
 from repro.core.driver import PresentationStatus, apply_effects, feed_datagrams
-from repro.core.engine import (
-    GameMachine,
-    Shutdown,
-    SiteEngine,
-    SitePeer,
-    SiteRuntime,
-)
-from repro.core.messages import StateSnapshot
+from repro.core.engine import Shutdown, SiteEngine
 from repro.net.simnet import SimNetwork, SimSocket
 from repro.sim.eventloop import EventLoop
 from repro.sim.process import Process, Sleep, WaitMessage, spawn
 
-__all__ = [
-    "DistributedVM",
-    "GameMachine",
-    "SitePeer",
-    "SiteRuntime",
-]
+__all__ = ["DistributedVM"]
 
 
 class DistributedVM:
-    """Runs one :class:`SiteEngine` to completion on the event loop."""
+    """Runs one engine to completion on the event loop.
 
-    #: How long to keep pumping after the last frame so peers still waiting
-    #: on our inputs (or retransmissions) can finish.
-    LINGER = 5.0
+    ``start_delay`` postpones the engine's start (a site booting late, a
+    late joiner waking, a crashed site restarting).  Attribute reads the
+    driver does not answer itself fall through to the engine, so
+    ``vm.rollback_stats`` means ``vm.engine.rollback_stats``.
+    """
 
     def __init__(
         self,
         loop: EventLoop,
         network: SimNetwork,
-        runtime: SiteRuntime,
-        max_frames: int,
-        frame_compute_time: float = 0.002,
-        seed: int = 0,
-        time_server_address: Optional[str] = None,
+        engine: SiteEngine,
         start_delay: float = 0.0,
-        frame_loop_delay: float = 0.0,
-        timer_granularity: float = 0.0,
     ) -> None:
         self.loop = loop
-        self.runtime = runtime
-        self.max_frames = max_frames
+        self.engine = engine
+        self.runtime = engine.runtime
         self.start_delay = start_delay
         self.socket: SimSocket = network.socket(
-            runtime.address_of[runtime.site_no]
-        )
-        self.engine = self._build_engine(
-            frame_compute_time=frame_compute_time,
-            seed=seed,
-            time_server_address=time_server_address,
-            frame_loop_delay=frame_loop_delay,
-            timer_granularity=timer_granularity,
+            self.runtime.address_of[self.runtime.site_no]
         )
         self.finished = False
         self.status = PresentationStatus()
         self.process: Optional[Process] = None
         self._stop_requested = False
 
-    def _build_engine(self, **options: object) -> SiteEngine:
-        """Factory hook: variant drivers substitute their engine subclass."""
-        return SiteEngine(
-            self.runtime, self.max_frames, linger=self.LINGER, **options
-        )
-
-    # ------------------------------------------------------------------
-    # Engine facade (harness and test compatibility)
-    # ------------------------------------------------------------------
-    @property
-    def on_snapshot_served(self):
-        """Harness hook fired when this site serves a savestate:
-        ``callback(joiner_site, snapshot_frame)``.  Stands in for the
-        session-control broadcast announcing the joiner."""
-        return self.engine.on_snapshot_served
-
-    @on_snapshot_served.setter
-    def on_snapshot_served(self, callback) -> None:
-        self.engine.on_snapshot_served = callback
-
-    @property
-    def _snapshot_cache(self) -> Dict[int, StateSnapshot]:
-        return self.engine.snapshot_cache
+    def __getattr__(self, name: str):
+        if name == "engine":  # not yet set: do not recurse
+            raise AttributeError(name)
+        return getattr(self.engine, name)
 
     # ------------------------------------------------------------------
     def start(self) -> Process:

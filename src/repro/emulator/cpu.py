@@ -106,11 +106,6 @@ class CpuFault(MachineError):
     """An illegal instruction or stack fault; carries the PC."""
 
 
-def _signed(value: int) -> int:
-    value &= 0xFFFF
-    return value - 0x10000 if value & 0x8000 else value
-
-
 # ----------------------------------------------------------------------
 # The fast interpreter's dispatch table.
 #

@@ -38,10 +38,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
 from repro.core.config import SyncConfig
+from repro.core.engine import SitePeer, SiteRuntime
 from repro.core.inputs import InputAssignment, PadSource, RandomSource
-from repro.core.latejoin import ResumeVM
+from repro.core.latejoin import ResumeEngine
 from repro.core.multisite import build_session, site_address, two_player_plan
-from repro.core.vm import DistributedVM, SitePeer, SiteRuntime
+from repro.core.vm import DistributedVM
 from repro.net.faults import FaultSchedule
 from repro.net.netem import NetemConfig
 
@@ -231,7 +232,7 @@ def run_chaos(
     vm_of: Dict[int, DistributedVM] = {
         vm.runtime.site_no: vm for vm in session.vms
     }
-    resumed_vms: List[ResumeVM] = []
+    resumed_vms: List[DistributedVM] = []
     buf = config.buf_frame
     # Bounded-memory budget: the lockstep gate allows O(buf) of lead (see
     # _evaluate); digest retention legitimately holds the prune floor back
@@ -285,17 +286,15 @@ def run_chaos(
                 game_id=game,
                 session_id=plan.session_id,
             )
-            vm = ResumeVM(
-                loop,
-                network,
+            engine = ResumeEngine(
                 runtime,
                 frames,
-                frame_compute_time=plan.frame_compute_time,
-                seed=seed,
-                resume_time=0.0,
                 donor_site=donor,
                 last_acked_frame=cookie,
+                frame_compute_time=plan.frame_compute_time,
+                seed=seed,
             )
+            vm = DistributedVM(loop, network, engine)
             network.log_fault("restart", address=address_of[site])
             resumed_vms.append(vm)
             vm.start()

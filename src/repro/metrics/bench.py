@@ -83,12 +83,18 @@ BANDWIDTH_TOLERANCE = 1.05
 TIMELINE_OVERHEAD_BUDGET = 0.02
 
 
-def time_call(fn: Callable[[], object], repeats: int = 3, inner: int = 1) -> float:
+def time_call(
+    fn: Callable[[], object],
+    repeats: int = 3,
+    inner: int = 1,
+    setup: Optional[Callable[[], object]] = None,
+) -> float:
     """Best-of-``repeats`` wall-clock seconds for one call of ``fn``.
 
     ``inner`` amortizes the timer overhead for very fast functions: each
     sample times ``inner`` back-to-back calls and divides.  Best-of (not
-    mean) because scheduling noise only ever adds time.
+    mean) because scheduling noise only ever adds time.  ``setup``, when
+    given, runs before every call of ``fn`` outside the timed region.
 
     The collector is drained before sampling and paused during the timed
     region: without this, measurements taken late in a long bench run are
@@ -102,10 +108,19 @@ def time_call(fn: Callable[[], object], repeats: int = 3, inner: int = 1) -> flo
     try:
         best = float("inf")
         for __ in range(repeats):
-            start = time.perf_counter()
-            for __ in range(inner):
-                fn()
-            elapsed = (time.perf_counter() - start) / inner
+            if setup is None:
+                start = time.perf_counter()
+                for __ in range(inner):
+                    fn()
+                elapsed = (time.perf_counter() - start) / inner
+            else:
+                total = 0.0
+                for __ in range(inner):
+                    setup()
+                    start = time.perf_counter()
+                    fn()
+                    total += time.perf_counter() - start
+                elapsed = total / inner
             if elapsed < best:
                 best = elapsed
     finally:
@@ -214,24 +229,19 @@ def measure_snapshot_costs(machine: Machine, repeats: int = 5) -> Dict[str, floa
     out["checksum_cold_us"] = time_call(machine.checksum, repeats=1) * 1e6
 
     # Warm checksum: cost with exactly one frame's dirty pages.  The frame
-    # step itself must stay outside the timed region, so time
-    # (step + checksum) and subtract the step measured alone.
-    step_us = time_call(lambda: machine.step(0), repeats, inner=20) * 1e6
-
-    def step_and_checksum() -> None:
-        machine.step(0)
-        machine.checksum()
-
-    both_us = time_call(step_and_checksum, repeats, inner=20) * 1e6
-    out["checksum_warm_us"] = max(0.0, both_us - step_us)
+    # step runs before each call, outside the timed region: subtracting a
+    # separately timed step instead lets scheduling noise drive it to zero.
+    out["checksum_warm_us"] = (
+        time_call(machine.checksum, repeats, inner=20, setup=lambda: machine.step(0))
+        * 1e6
+    )
 
     if machine.dirty_pages_since(machine.state_mark()) is not None:
         twin = create_game(machine.name)
         twin.load_state(machine.save_state())
         marks = {"ours": machine.state_mark(), "twin": twin.state_mark()}
 
-        def step_and_delta() -> None:
-            machine.step(0)
+        def delta_roundtrip() -> None:
             pages = set(machine.dirty_pages_since(marks["ours"])) | set(
                 twin.dirty_pages_since(marks["twin"])
             )
@@ -239,8 +249,10 @@ def measure_snapshot_costs(machine: Machine, repeats: int = 5) -> Dict[str, floa
             marks["ours"] = machine.state_mark()
             marks["twin"] = twin.state_mark()
 
-        with_step_us = time_call(step_and_delta, repeats, inner=20) * 1e6
-        out["delta_roundtrip_us"] = max(0.0, with_step_us - step_us)
+        out["delta_roundtrip_us"] = (
+            time_call(delta_roundtrip, repeats, inner=20, setup=lambda: machine.step(0))
+            * 1e6
+        )
         mark = machine.state_mark()
         machine.step(0)
         out["delta_bytes"] = float(
@@ -520,7 +532,7 @@ def measure_rollback_session(
     start = time.perf_counter()
     session.run(horizon=600.0)
     wall = time.perf_counter() - start
-    stats = session.vms[0].rollback_stats.as_dict()
+    stats = session.vms[0].engine.rollback_stats.as_dict()
     stats["wall_seconds"] = wall
     stats["frames"] = frames
     return stats
@@ -565,7 +577,7 @@ def measure_predictor_comparison(
             predictor=name,
         )
         session.run(horizon=600.0)
-        stats = [vm.rollback_stats for vm in session.vms]
+        stats = [vm.engine.rollback_stats for vm in session.vms]
         out[name] = {
             "mispredicted_frames": sum(s.mispredicted_frames for s in stats),
             "predicted_frames": sum(s.predicted_frames for s in stats),

@@ -49,15 +49,14 @@ class SimClock(Clock):
 
 
 #: Shared origin for every :class:`WallClock` in the process, anchored by
-#: the first construction.  Without it each socket's clock would carry its
-#: own creation-time origin, and co-hosted sites (the realtime driver runs
-#: one thread per site) would emit EventTrace records and timeline stamps
-#: on mutually skewed timebases.
+#: the first construction.  Without it each clock would carry its own
+#: creation-time origin, and co-hosted sites would emit EventTrace records
+#: and timeline stamps on mutually skewed timebases.
 _PROCESS_EPOCH: "float | None" = None
 
 
 class WallClock(Clock):
-    """Monotonic wall clock for the real-socket driver.
+    """Monotonic wall clock for code running outside the simulator.
 
     All instances read one process-wide timebase: cross-site latency
     attribution compares timestamps taken by *different* sites, and for

@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -33,6 +34,18 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__fi
 
 def test_time_call_returns_positive_seconds():
     assert 0 < time_call(lambda: sum(range(100)), repeats=2, inner=5) < 1.0
+
+
+def test_time_call_setup_runs_untimed_before_each_call():
+    calls = []
+    seconds = time_call(
+        lambda: calls.append("fn"),
+        repeats=2,
+        inner=3,
+        setup=lambda: (calls.append("setup"), time.sleep(0.01)),
+    )
+    assert calls == ["setup", "fn"] * 6
+    assert 0 < seconds < 0.005
 
 
 def test_measure_game_fps_smoke():

@@ -1,17 +1,40 @@
 """Unit tests for repro.net.udp (real sockets on localhost)."""
 
 import asyncio
-import time
 
 import pytest
 
 from repro.net.udp import (
     MAX_DATAGRAM,
     AsyncUdpEndpoint,
-    UdpSocket,
     format_address,
     parse_address,
 )
+
+
+def with_endpoints(count, scenario):
+    """Run ``scenario(*endpoints)`` on a fresh loop, closing them after."""
+
+    async def main():
+        endpoints = [await AsyncUdpEndpoint.open() for __ in range(count)]
+        try:
+            await scenario(*endpoints)
+        finally:
+            for endpoint in endpoints:
+                endpoint.close()
+
+    asyncio.run(main())
+
+
+async def collect(endpoint, count, timeout=2.0):
+    """Drain ``endpoint`` until ``count`` datagrams arrived or time ran out."""
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout
+    collected = []
+    while len(collected) < count and loop.time() < deadline:
+        await endpoint.wait(deadline - loop.time())
+        collected.extend(endpoint.receive_all())
+    return collected
 
 
 class TestAddressing:
@@ -23,90 +46,6 @@ class TestAddressing:
     def test_parse_malformed(self, bad):
         with pytest.raises(ValueError):
             parse_address(bad)
-
-
-class TestUdpSocket:
-    def test_send_receive_roundtrip(self):
-        a, b = UdpSocket(), UdpSocket()
-        try:
-            a.send(b"hello-udp", b.address)
-            datagram = b.receive_blocking(timeout=2.0)
-            assert datagram is not None
-            assert datagram.payload == b"hello-udp"
-            assert datagram.source == a.address
-        finally:
-            a.close()
-            b.close()
-
-    def test_receive_all_drains(self):
-        a, b = UdpSocket(), UdpSocket()
-        try:
-            for i in range(5):
-                a.send(bytes([i]), b.address)
-            deadline = time.time() + 2.0
-            collected = []
-            while len(collected) < 5 and time.time() < deadline:
-                collected.extend(b.receive_all())
-                time.sleep(0.01)
-            assert sorted(d.payload for d in collected) == [bytes([i]) for i in range(5)]
-        finally:
-            a.close()
-            b.close()
-
-    def test_receive_one_empty(self):
-        a = UdpSocket()
-        try:
-            assert a.receive_one() is None
-        finally:
-            a.close()
-
-    def test_oversized_datagram_rejected(self):
-        a = UdpSocket()
-        try:
-            with pytest.raises(ValueError):
-                a.send(b"x" * (MAX_DATAGRAM + 1), a.address)
-        finally:
-            a.close()
-
-    def test_closed_socket_rejects_send(self):
-        a = UdpSocket()
-        a.close()
-        with pytest.raises(RuntimeError):
-            a.send(b"x", "127.0.0.1:9")
-
-    def test_close_idempotent(self):
-        a = UdpSocket()
-        a.close()
-        a.close()
-
-    def test_arrival_timestamps_monotonic(self):
-        a, b = UdpSocket(), UdpSocket()
-        try:
-            for __ in range(3):
-                a.send(b"t", b.address)
-                time.sleep(0.01)
-            deadline = time.time() + 2.0
-            stamps = []
-            while len(stamps) < 3 and time.time() < deadline:
-                datagram = b.receive_one()
-                if datagram:
-                    stamps.append(datagram.arrived_at)
-            assert stamps == sorted(stamps)
-        finally:
-            a.close()
-            b.close()
-
-    def test_stats(self):
-        a, b = UdpSocket(), UdpSocket()
-        try:
-            a.send(b"12345", b.address)
-            assert b.receive_blocking(2.0) is not None
-            assert a.stats.datagrams_sent == 1
-            assert a.stats.bytes_sent == 5
-            assert b.stats.datagrams_received == 1
-        finally:
-            a.close()
-            b.close()
 
 
 class TestAsyncUdpEndpoint:
@@ -125,6 +64,75 @@ class TestAsyncUdpEndpoint:
                 b.close()
 
         asyncio.run(scenario())
+
+    def test_send_receive_roundtrip(self):
+        async def scenario(a, b):
+            a.send(b"hello-udp", b.address)
+            datagrams = await collect(b, 1)
+            assert len(datagrams) == 1
+            assert datagrams[0].payload == b"hello-udp"
+            assert datagrams[0].source == a.address
+
+        with_endpoints(2, scenario)
+
+    def test_receive_all_drains(self):
+        async def scenario(a, b):
+            for i in range(5):
+                a.send(bytes([i]), b.address)
+            collected = await collect(b, 5)
+            assert sorted(d.payload for d in collected) == [bytes([i]) for i in range(5)]
+            assert b.receive_all() == []
+
+        with_endpoints(2, scenario)
+
+    def test_receive_one_empty(self):
+        async def scenario(a):
+            assert a.receive_one() is None
+
+        with_endpoints(1, scenario)
+
+    def test_oversized_datagram_rejected(self):
+        async def scenario(a):
+            with pytest.raises(ValueError):
+                a.send(b"x" * (MAX_DATAGRAM + 1), a.address)
+
+        with_endpoints(1, scenario)
+
+    def test_closed_endpoint_rejects_send(self):
+        async def scenario(a):
+            a.close()
+            with pytest.raises(RuntimeError):
+                a.send(b"x", "127.0.0.1:9")
+
+        with_endpoints(1, scenario)
+
+    def test_close_idempotent(self):
+        async def scenario(a):
+            a.close()
+            a.close()
+
+        with_endpoints(1, scenario)
+
+    def test_arrival_timestamps_monotonic(self):
+        async def scenario(a, b):
+            for __ in range(3):
+                a.send(b"t", b.address)
+                await asyncio.sleep(0.01)
+            stamps = [d.arrived_at for d in await collect(b, 3)]
+            assert len(stamps) == 3
+            assert stamps == sorted(stamps)
+
+        with_endpoints(2, scenario)
+
+    def test_stats(self):
+        async def scenario(a, b):
+            a.send(b"12345", b.address)
+            assert len(await collect(b, 1)) == 1
+            assert a.stats.datagrams_sent == 1
+            assert a.stats.bytes_sent == 5
+            assert b.stats.datagrams_received == 1
+
+        with_endpoints(2, scenario)
 
     def test_error_received_counts_and_notifies(self):
         # Linux only surfaces ICMP errors on *connected* UDP sockets, so a
