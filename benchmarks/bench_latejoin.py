@@ -7,8 +7,8 @@ on the running players' pacing.
 
 from repro.core.config import SyncConfig
 from repro.core.inputs import IdleSource, PadSource, RandomSource
-from repro.core.engine import SitePeer, SiteRuntime
-from repro.core.latejoin import LateJoinEngine, register_late_join
+from repro.core.engine import SiteEngine, SitePeer, SiteRuntime
+from repro.core.latejoin import register_late_join
 from repro.core.multisite import (
     build_session,
     players_and_observers_plan,
@@ -46,7 +46,7 @@ def run_latejoin(game, frames, join_time=2.0):
         peers=[SitePeer(s, site_address(s)) for s in range(3)],
         game_id=game,
     )
-    engine = LateJoinEngine(
+    engine = SiteEngine(
         joiner_runtime,
         frames,
         donor_site=0,

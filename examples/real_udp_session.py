@@ -46,8 +46,10 @@ async def run_sites(frames: int, fps: float):
             peers=peers,
             game_id="shooter",
         )
-        # A driver is built from an engine: pass a RollbackEngine or an
-        # AdaptiveEngine here instead to run those modes over real UDP.
+        # A driver is built from an engine: hand the engine a speculative
+        # machine (spec_machine=create_game("shooter"), optionally with
+        # adaptive=True) to run rollback or adaptive consistency over real
+        # UDP instead.
         engine = SiteEngine(runtime, frames, linger=2.0)
         sites.append(AioSite(engine, endpoints[site]))
 

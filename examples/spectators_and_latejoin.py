@@ -23,8 +23,8 @@ from repro import (
     create_game,
     players_and_observers_plan,
 )
-from repro.core.engine import SitePeer, SiteRuntime
-from repro.core.latejoin import LateJoinEngine, register_late_join
+from repro.core.engine import SiteEngine, SitePeer, SiteRuntime
+from repro.core.latejoin import register_late_join
 from repro.core.multisite import site_address
 from repro.core.vm import DistributedVM
 from repro.core.inputs import IdleSource
@@ -58,7 +58,9 @@ def main() -> None:
         peers=[SitePeer(s, site_address(s)) for s in range(4)],
         game_id="shooter",
     )
-    engine = LateJoinEngine(
+    # Given a donor, the engine starts by acquiring site 0's savestate
+    # instead of running the start handshake.
+    engine = SiteEngine(
         joiner_runtime,
         frames,
         donor_site=0,

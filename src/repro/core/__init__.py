@@ -15,16 +15,21 @@ Layout mirrors the paper's structure:
   that starts both sites within one round trip.
 * :mod:`repro.core.engine` — Algorithm 1 as a sans-IO engine:
   ``handle(event) -> [effects]`` / ``poll(now) -> [effects]``, hosting the
-  whole orchestration (handshake, pumps, frame loop, linger) exactly once.
-* :mod:`repro.core.driver` — driver-support helpers shared by both drivers.
+  whole orchestration (handshake, pumps, frame loop, linger) exactly once,
+  in one engine class whose consistency mode and join kind are state.
+* :mod:`repro.core.driver` — the driver base both drivers share.
 * :mod:`repro.core.vm` — the discrete-event driver (simulator).
 * :mod:`repro.core.aio` — the asyncio driver over real UDP: many sessions,
   one process.  Both drivers are built from an engine, so every
   consistency mode and join kind runs on either.
 * :mod:`repro.core.multisite` — N players and observers (journal extension).
-* :mod:`repro.core.latejoin` — late joiners via savestate + replay.
+* :mod:`repro.core.latejoin` — late joiners via savestate + replay
+  (the engine's acquire phase; the harness's admission bookkeeping).
 * :mod:`repro.core.replay` — input movies (record / verify / replay).
-* :mod:`repro.core.rollback` — the timewarp alternative, zero local lag.
+* :mod:`repro.core.rollback` — the timewarp alternative, zero local lag
+  (the engine's speculation state).
+* :mod:`repro.core.policy` — adaptive consistency: the lockstep↔rollback
+  policy and switch handshake a policy-driven engine owns.
 """
 
 from repro.core.config import SyncConfig

@@ -2,9 +2,9 @@
 
 The deployment shape: a site is not a thread but a coroutine, so one event
 loop hosts every site of every concurrent session.  Each :class:`AioSite`
-is built from an engine — any of them: lockstep, rollback, adaptive,
-late-join, resume — and an :class:`~repro.net.udp.AsyncUdpEndpoint`, and
-does nothing but
+is built from an engine — in any consistency mode and join kind:
+lockstep, rollback, adaptive, late join, resume — and an
+:class:`~repro.net.udp.AsyncUdpEndpoint`, and does nothing but
 
     wait until (next engine deadline) or (datagram arrives)
     feed the engine, apply its effects
@@ -31,26 +31,22 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from repro.core.config import SyncConfig
-from repro.core.driver import PresentationStatus, apply_effects, feed_datagrams
-from repro.core.engine import SiteEngine, SitePeer, SiteRuntime, Shutdown
+from repro.core.driver import SiteDriver
+from repro.core.engine import SiteEngine, SitePeer, SiteRuntime
 from repro.core.inputs import InputAssignment, PadSource, RandomSource
 from repro.net.udp import AsyncUdpEndpoint
 from repro.obs.registry import aggregate_snapshots, to_prometheus
 
 
-class AioSite:
+class AioSite(SiteDriver):
     """Drives the engine it is handed as a coroutine on the running loop."""
 
     def __init__(self, engine: SiteEngine, endpoint: AsyncUdpEndpoint) -> None:
-        self.engine = engine
-        self.runtime = engine.runtime
+        super().__init__(engine)
         self.endpoint = endpoint
-        self.finished = False
-        self.status = PresentationStatus()
         #: Set when :meth:`run` died; the host process stays up and the
         #: snapshot API reports the failure instead.
         self.error: Optional[BaseException] = None
-        self._stop_requested = False
         #: True while sends keep failing: one ``error`` trace record per
         #: burst, not one per datagram.
         self._send_failing = False
@@ -68,33 +64,18 @@ class AioSite:
             if deadline is not None:
                 timeout = max(0.0, deadline - loop.time())
             await self.endpoint.wait(timeout)
-            if self._stop_requested and not engine.done:
-                effects = engine.handle(Shutdown(loop.time()))
-                continue
-            effects = feed_datagrams(
-                engine, self.endpoint.receive_all(), loop.time()
-            )
+            effects = self._wake(self.endpoint.receive_all(), loop.time())
 
     def request_stop(self) -> None:
         """Ask the site to wind down at its next wakeup (and wake it)."""
-        self._stop_requested = True
+        super().request_stop()
         self.endpoint.poke()
 
     def snapshot(self) -> dict:
         """This site's registries plus liveness/error state as one dict."""
-        snap = self.engine.snapshot()
-        snap["finished"] = self.finished
-        snap["presentation"] = self.status.as_dict()
+        snap = super().snapshot()
         snap["error"] = repr(self.error) if self.error is not None else None
         return snap
-
-    def _apply(self, effects) -> bool:
-        running = apply_effects(effects, self._send, status=self.status)
-        if not running:
-            self.status.on_finished(self.engine.termination)
-        if self.engine.frames_complete:
-            self.finished = True
-        return running
 
     def _send(self, payload: bytes, destination: str) -> None:
         try:

@@ -118,8 +118,9 @@ class SyncConfig:
     #: RESUME handshake) before terminating with ``peer-lost``.
     resume_deadline_s: float = 20.0
 
-    #: Give up on the start handshake after this long without the session
-    #: becoming established.  ``None`` retries forever.
+    #: Give up on the start handshake — or a joining site's acquire phase
+    #: — after this long without the session becoming established
+    #: (``termination == "handshake-timeout"``).  ``None`` retries forever.
     handshake_timeout_s: Optional[float] = 30.0
 
     #: A peer is considered unresponsive when nothing (sync, pong, control)

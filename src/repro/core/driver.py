@@ -3,13 +3,14 @@
 Each driver is built from an engine and owns exactly two jobs: move
 received datagrams into it as :class:`~repro.core.engine.DatagramReceived`
 events, and apply the effects it returns.  Both jobs are identical across
-runtimes, so they live here once — the per-driver code is only the waiting
-primitive (event-loop process or coroutine).
+runtimes, so they live here once, in :class:`SiteDriver` — each driver
+adds only its wait loop (event-loop process or coroutine) and its send
+function.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 from repro.core.engine import (
     DatagramReceived,
@@ -20,6 +21,7 @@ from repro.core.engine import (
     Present,
     Resumed,
     Send,
+    Shutdown,
     SiteEngine,
 )
 from repro.net.transport import Datagram
@@ -79,50 +81,82 @@ class PresentationStatus:
         }
 
 
-def apply_effects(
-    effects: Iterable[Effect],
-    send: Callable[[bytes, str], None],
-    status: Optional[PresentationStatus] = None,
-) -> bool:
-    """Apply one batch of engine effects; False once ``Finished`` appears.
+class SiteDriver:
+    """What every driver shares: the engine it runs, the presentation
+    status, the stop flag and effect application.
 
-    ``Send`` goes out through ``send``; its payload is opaque here — the
-    engine's outbox has already encoded it (possibly as a coalesced v2
-    BATCH datagram), so drivers move bytes and never touch the codec.
-    The liveness effects update ``status`` when given.  ``SetTimer`` is
-    deliberately ignored — the bundled drivers pull
-    ``engine.next_deadline()`` instead — and ``Present`` / ``Stall`` are
-    presentation-layer notifications these headless drivers have no screen
-    for; ``ServeState`` is for the harness, which hooks
-    ``engine.on_snapshot_served``.
+    A subclass supplies ``_send(payload, destination)`` and a wait loop
+    that starts the engine, applies each batch of effects with
+    :meth:`_apply`, and on every wakeup hands the received datagrams to
+    :meth:`_wake`.
     """
-    running = True
-    for effect in effects:
-        if status is not None:
-            status.absorb(effect)
-        if isinstance(effect, Send):
-            send(effect.payload, effect.destination)
-        elif isinstance(effect, Finished):
-            running = False
-    return running
 
+    def __init__(self, engine: SiteEngine) -> None:
+        self.engine = engine
+        self.runtime = engine.runtime
+        #: True once every frame has executed.
+        self.finished = False
+        self.status = PresentationStatus()
+        self._stop_requested = False
 
-def feed_datagrams(
-    engine: SiteEngine,
-    datagrams: Iterable[Datagram],
-    now: float,
-) -> List[Effect]:
-    """Feed received datagrams into the engine, then poll it once.
+    def _send(self, payload: bytes, destination: str) -> None:
+        raise NotImplementedError
 
-    The trailing poll matters even for an empty batch: the caller usually
-    woke up because a timer came due.
-    """
-    effects: List[Effect] = []
-    for datagram in datagrams:
-        effects.extend(
-            engine.handle(
-                DatagramReceived(datagram.payload, datagram.arrived_at, now)
+    def request_stop(self) -> None:
+        """Ask the site to wind down at its next wakeup."""
+        self._stop_requested = True
+
+    def _apply(self, effects: Iterable[Effect]) -> bool:
+        """Apply one batch of engine effects; False once ``Finished`` appears.
+
+        ``Send`` goes out through ``_send``; its payload is opaque here —
+        the engine's outbox has already encoded it (possibly as a coalesced
+        v2 BATCH datagram), so drivers move bytes and never touch the
+        codec.  The liveness effects update ``status``.  ``SetTimer`` is
+        deliberately ignored — the drivers pull ``engine.next_deadline()``
+        instead — and ``Present`` / ``Stall`` are presentation-layer
+        notifications these headless drivers have no screen for;
+        ``ServeState`` is for the harness, which hooks
+        ``engine.on_snapshot_served``.
+        """
+        running = True
+        send = self._send
+        absorb = self.status.absorb
+        for effect in effects:
+            absorb(effect)
+            if isinstance(effect, Send):
+                send(effect.payload, effect.destination)
+            elif isinstance(effect, Finished):
+                running = False
+        if not running:
+            self.status.on_finished(self.engine.termination)
+        if self.engine.frames_complete:
+            self.finished = True
+        return running
+
+    def _wake(self, datagrams: Iterable[Datagram], now: float) -> List[Effect]:
+        """One wakeup: shut the engine down if a stop was requested, else
+        feed it the received datagrams and poll it once.
+
+        The trailing poll matters even for an empty batch: the driver
+        usually woke up because a timer came due.
+        """
+        engine = self.engine
+        if self._stop_requested and not engine.done:
+            return engine.handle(Shutdown(now))
+        effects: List[Effect] = []
+        for datagram in datagrams:
+            effects.extend(
+                engine.handle(
+                    DatagramReceived(datagram.payload, datagram.arrived_at, now)
+                )
             )
-        )
-    effects.extend(engine.poll(now))
-    return effects
+        effects.extend(engine.poll(now))
+        return effects
+
+    def snapshot(self) -> dict:
+        """This site's telemetry registries plus liveness as one dict."""
+        snap = self.engine.snapshot()
+        snap["finished"] = self.finished
+        snap["presentation"] = self.status.as_dict()
+        return snap

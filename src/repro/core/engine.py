@@ -18,19 +18,27 @@ Three layers live here:
   (session control, lockstep, pacer, RTT estimator, machine, input source,
   trace).  It turns received datagrams into state updates plus reply
   datagrams, and builds outbound sync messages.
-* :class:`SiteEngine` — the orchestration every driver shares: the start
-  handshake, the send pump (the paper's 20 ms
-  outbound batching and ~5 ms thread-slice delay, §4.2), the ping pump, the
-  frame loop with its SyncInput gate, late-join state serving, and the
-  linger phase.  The engine is a pure state machine: drivers feed it
-  :class:`Event` objects (datagrams, timer ticks, shutdown) and apply the
-  :class:`Effect` objects it returns (datagrams to send, timers to arm,
-  frames to present).  It contains no clocks, no sockets and no sleeping.
-  Consistency modes and join kinds are subclasses overriding its hooks:
-  :class:`~repro.core.rollback.RollbackEngine`,
-  :class:`~repro.core.policy.AdaptiveEngine`,
-  :class:`~repro.core.latejoin.LateJoinEngine` and
-  :class:`~repro.core.latejoin.ResumeEngine`.
+* :class:`SiteEngine` — the one engine, the orchestration every driver
+  shares: the start phase, the send pump (the paper's 20 ms outbound
+  batching and ~5 ms thread-slice delay, §4.2), the ping pump, the frame
+  loop with its SyncInput gate, late-join state serving, desync recovery
+  and the linger phase.  The engine is a pure state machine: drivers feed
+  it :class:`Event` objects (datagrams, timer ticks, shutdown) and apply
+  the :class:`Effect` objects it returns (datagrams to send, timers to
+  arm, frames to present).  It contains no clocks, no sockets and no
+  sleeping.  Consistency mode and join kind are state, chosen at
+  construction:
+
+  - *mode* — with no speculative machine the engine is pinned lockstep.
+    Handed one, it owns a :class:`~repro.core.rollback.Speculation` and
+    runs rollback — pinned, or (``adaptive=True``) starting in
+    ``initial_mode`` and switched at runtime by its
+    :class:`~repro.core.policy.ModeSwitch`.
+  - *join kind* — the start phase.  A fresh site runs the handshake; a
+    site given a ``donor_site`` owns a
+    :class:`~repro.core.latejoin.Acquisition` and acquires that site's
+    savestate instead (late join); one also given a ``last_acked_frame``
+    resumes its own crashed session.
 * The drivers — :class:`repro.core.vm.DistributedVM` (discrete-event) and
   :class:`repro.core.aio.AioSite` (asyncio over real UDP, many sessions
   per process) — are thin shells that move bytes and time between their
@@ -74,6 +82,8 @@ from repro.core.messages import (
     FEATURE_DIGEST,
     FEATURE_TIMELINE,
     MAX_BATCH_BYTES,
+    MODE_LOCKSTEP,
+    MODE_ROLLBACK,
     DecodeError,
     Message,
     Ping,
@@ -92,8 +102,10 @@ from repro.core.messages import (
     stamp_ticks,
     uvarint_len,
 )
+from repro.core.latejoin import Acquisition
 from repro.core.resync import DigestTracker, Divergence, ResyncLadder
 from repro.core.pacing import FramePacer
+from repro.core.rollback import PredictorSpec, Speculation
 from repro.core.rtt import ClockAlign, RttEstimator, from_micros
 from repro.core.session import SessionControl, SessionError
 from repro.metrics.recorder import FrameTrace
@@ -572,8 +584,8 @@ class SiteRuntime:
         """
         tuner = self._lag_tuner
         if tuner is None:
-            # Imported lazily: policy builds on rollback which builds on
-            # this module, so a top-level import would be circular.
+            # Imported lazily: policy builds on this module, so a
+            # top-level import would be circular.
             from repro.core.policy import LagTuner
 
             tuner = self._lag_tuner = LagTuner(self.config)
@@ -867,9 +879,8 @@ class Resumed:
 
 @dataclass(frozen=True)
 class Finished:
-    """The engine is done (frames executed and linger elapsed, shutdown,
-    handshake timeout, or peer loss — see ``SiteEngine.termination``);
-    no further events are needed."""
+    """The engine is done — ``SiteEngine.termination`` says why (one of
+    :data:`TERMINATIONS`); no further events are needed."""
 
     frame: int
 
@@ -894,6 +905,7 @@ TIMER_BACKOFF = "backoff"  # suspended-phase retransmission (exp backoff)
 TIMER_RESUME = "resume-deadline"  # suspended-phase give-up deadline
 TIMER_RESYNC = "resync"  # resync-episode retransmission tick
 TIMER_RESYNC_DEADLINE = "resync-deadline"  # episode give-up deadline
+TIMER_REQUEST = "state-request"  # acquire phase: STATE_REQUEST / RESUME retry
 
 PHASE_IDLE = "idle"
 PHASE_HANDSHAKE = "handshake"
@@ -903,10 +915,17 @@ PHASE_FRAME_WAIT = "frame-wait"
 PHASE_LINGER = "linger"
 PHASE_SUSPENDED = "suspended"  # gate blocked past hard_stall_s (peer down)
 PHASE_DONE = "done"
-# Variant-engine phases (kept here so `phase` values stay one namespace):
-PHASE_CATCHUP = "catchup"  # rollback: confirming in-flight frames
-PHASE_ACQUIRE = "acquire"  # late join: waiting for a state snapshot
+PHASE_CATCHUP = "catchup"  # speculating site: confirming in-flight frames
+PHASE_ACQUIRE = "acquire"  # late join / resume: waiting for a state snapshot
 PHASE_RESYNC = "resync"  # desync recovery: frozen, restoring the anchor
+
+#: The closed set of ``SiteEngine.termination`` reasons: every frame ran
+#: and the linger ended ("completed"), a driver's ``Shutdown``, the resume
+#: deadline expired on a lost peer ("peer-lost"), the handshake or acquire
+#: phase outlived ``handshake_timeout_s``, or desync recovery gave up.
+TERMINATIONS = frozenset(
+    {"completed", "shutdown", "peer-lost", "handshake-timeout", "desync"}
+)
 
 
 #: Standalone-datagram overhead estimate for budget accounting: magic +
@@ -962,6 +981,24 @@ class SiteEngine:
     retries, the send/ping pumps, the SyncInput gate, frame pacing and the
     linger phase — expressed as named timers.  Drivers feed events and
     apply effects; see the module docstring for the contract.
+
+    Beyond the timing options, construction picks the consistency mode
+    and the join kind:
+
+    * ``spec_machine`` — a second, identically-constructed machine to
+      speculate on (``runtime.machine`` stays the confirmed shadow); None
+      pins the engine to lockstep and allocates no speculation state.
+      ``speculation_window`` and ``predictor`` configure the
+      :class:`~repro.core.rollback.Speculation` built around it.
+    * ``adaptive`` — let the consistency policy switch the mode at
+      runtime, starting in ``initial_mode``; otherwise a speculating
+      engine is pinned to rollback and drains a non-zero ``buf_frame`` to
+      zero at construction (a policy-driven one does so only under
+      ``config.policy_drain_lag``).
+    * ``donor_site`` — join a running session from that site's savestate
+      instead of running the start handshake; with ``last_acked_frame``
+      (the last own frame the donor was seen to ack, the authentication
+      cookie) as well, resume this site's own crashed session.
     """
 
     #: SyncInput re-poll period while blocked; bounds how long a site waits
@@ -972,6 +1009,13 @@ class SiteEngine:
     #: and the snapshot re-request (slave) go out at this cadence until the
     #: episode closes or its deadline fires.
     RESYNC_TICK = 0.1
+
+    #: Catch-up phase poll period (a speculating site confirming in-flight
+    #: frames after its speculative horizon is reached).
+    CATCHUP_POLL = 0.02
+
+    #: How often a joining site re-sends its STATE_REQUEST or RESUME.
+    REQUEST_INTERVAL = 0.1
 
     def __init__(
         self,
@@ -984,7 +1028,22 @@ class SiteEngine:
         time_server_address: Optional[str] = None,
         frame_loop_delay: float = 0.0,
         timer_granularity: float = 0.0,
+        spec_machine: Optional[GameMachine] = None,
+        speculation_window: int = 60,
+        predictor: PredictorSpec = None,
+        adaptive: bool = False,
+        initial_mode: int = MODE_ROLLBACK,
+        donor_site: Optional[int] = None,
+        last_acked_frame: Optional[int] = None,
     ) -> None:
+        if spec_machine is None and adaptive:
+            raise ValueError("a policy-driven engine needs a spec_machine")
+        if spec_machine is not None and not (adaptive or initial_mode == MODE_ROLLBACK):
+            raise ValueError("a pinned engine given a spec_machine runs rollback")
+        if spec_machine is not None and donor_site is not None:
+            raise ValueError("a joining site cannot speculate")
+        if last_acked_frame is not None and donor_site is None:
+            raise ValueError("resuming needs a donor_site")
         self.runtime = runtime
         self.max_frames = max_frames
         self.frame_compute_time = frame_compute_time
@@ -1019,9 +1078,19 @@ class SiteEngine:
         #: or the admission bookkeeping would race the joiner's choice.
         self.snapshot_cache: Dict[int, StateSnapshot] = {}
 
-        #: Why the engine finished: "completed", "shutdown", "peer-lost" or
-        #: "handshake-timeout"; None while running.
+        #: Why the engine finished, one of :data:`TERMINATIONS`; None while
+        #: running.
         self.termination: Optional[str] = None
+
+        #: Join kind (see the class docstring): a joining site's acquire
+        #: phase; None runs the start handshake.
+        self.acquisition = (
+            Acquisition(runtime, donor_site, last_acked_frame)
+            if donor_site is not None
+            else None
+        )
+        #: First frame executed after acquiring the donor's savestate.
+        self.joined_at_frame: Optional[int] = None
 
         self._observed_phase = self.phase
         self._timers: Dict[str, float] = {}
@@ -1036,7 +1105,8 @@ class SiteEngine:
         self._suspended_at = 0.0
         self._suspend_waiting: Tuple[int, ...] = ()
         self._backoff = runtime.config.suspend_backoff_initial_s
-        self._handshake_deadline: Optional[float] = None
+        self._start_deadline: Optional[float] = None
+        self._catchup_deadline = 0.0
         self._liveness_mark = runtime.liveness.mark
 
         #: Desync recovery (ISSUE-10): episode budget plus the live
@@ -1060,19 +1130,65 @@ class SiteEngine:
         self._budget_tokens = 0.0
         self._budget_last: Optional[float] = None
 
+        #: Live consistency mode (``MODE_LOCKSTEP`` or ``MODE_ROLLBACK``);
+        #: only a policy-driven engine changes it after construction.
+        self.mode = MODE_LOCKSTEP
+        #: Speculation state, the speculative machine and its stats; all
+        #: None for a pinned-lockstep engine.
+        self.speculation: Optional[Speculation] = None
+        self.spec_machine = spec_machine
+        self.rollback_stats = None
+        #: The policy-driven switch handshake; None pins the mode.
+        self.switcher = None
+        #: Committed mode switches this session (mirrors the metric).
+        self.policy_switch_count = 0
+        if spec_machine is not None:
+            self.mode = initial_mode
+            if self.mode == MODE_ROLLBACK and (
+                not adaptive or runtime.config.policy_drain_lag
+            ):
+                # Zero input latency is rollback's point: zero the lag now
+                # and let the slot mapping drain the pre-buffered window
+                # (new local inputs targeting already-filled slots are
+                # dropped until the frame counter catches up).
+                runtime.lockstep.set_local_lag(0)
+            self.speculation = Speculation(
+                runtime, spec_machine, max_frames, speculation_window, predictor
+            )
+            self.rollback_stats = self.speculation.stats
+            if adaptive:
+                # Imported lazily: policy builds on this module.
+                from repro.core.policy import ModeSwitch
+
+                self.switcher = ModeSwitch(self)
+
+    @property
+    def mode_name(self) -> str:
+        """The live consistency mode as ``"lockstep"`` or ``"rollback"``."""
+        return "rollback" if self.mode == MODE_ROLLBACK else "lockstep"
+
     # ------------------------------------------------------------------
     # Entry points
     # ------------------------------------------------------------------
     def start(self, now: float) -> List[Effect]:
-        """Begin the session at ``now``; returns the first effects."""
+        """Begin the session at ``now``; returns the first effects.
+
+        A fresh site starts the handshake; a joining one starts requesting
+        the donor's savestate instead.  Either start phase ends with
+        ``"handshake-timeout"`` after ``config.handshake_timeout_s``.
+        """
         effects: List[Effect] = []
-        self.phase = PHASE_HANDSHAKE
         timeout = self.runtime.config.handshake_timeout_s
         if timeout is not None:
-            self._handshake_deadline = now + timeout
+            self._start_deadline = now + timeout
         self._arm_send(now, effects)
         self._set(TIMER_PING, now, effects)
-        self._set(TIMER_RETRY, now, effects)
+        if self.acquisition is None:
+            self.phase = PHASE_HANDSHAKE
+            self._set(TIMER_RETRY, now, effects)
+        else:
+            self.phase = PHASE_ACQUIRE
+            self._set(TIMER_REQUEST, now, effects)
         return self._pump(now, effects)
 
     def handle(self, event: Event) -> List[Effect]:
@@ -1097,20 +1213,11 @@ class SiteEngine:
             self._sampled[event.frame] = event.bits
             return []
         if isinstance(event, Shutdown):
-            self._timers.clear()
             self._outbox.clear()
-            self.phase = PHASE_DONE
-            self.done = True
-            if self.termination is None:
-                self.termination = "shutdown"
-            self.runtime.events.emit(
-                "phase",
-                event.now,
-                self.runtime.frame,
-                **{"from": self._observed_phase, "to": PHASE_DONE},
-            )
-            self._observed_phase = PHASE_DONE
-            return [Finished(self.runtime.frame)]
+            effects = []
+            self._terminate("shutdown", event.now, effects)
+            self._observe(event.now, effects)
+            return effects
         raise TypeError(f"unknown event {event!r}")
 
     def poll(self, now: float) -> List[Effect]:
@@ -1262,8 +1369,8 @@ class SiteEngine:
 
         Counting ``Send``/``Present``/``Stall`` effects centrally keeps the
         phase machine itself observation-free; phase transitions are
-        detected by comparison so subclass engines that assign ``phase``
-        directly (catchup, acquire) are captured too.
+        detected by comparison, so every assignment to ``phase`` is
+        captured without each transition emitting its own record.
         """
         runtime = self.runtime
         metrics = runtime.metrics
@@ -1292,9 +1399,15 @@ class SiteEngine:
             self._observed_phase = self.phase
 
     def _on_timer(self, kind: str, now: float, effects: List[Effect]) -> None:
-        if kind != TIMER_GATE:
-            # GATE re-polls every few ms while blocked and would flood the
-            # ring; the Stall record already marks the blockage.
+        if not (
+            kind == TIMER_GATE
+            or kind == TIMER_REQUEST
+            or (kind == TIMER_LINGER and self.phase == PHASE_CATCHUP)
+        ):
+            # Polls stay out of the ring: GATE re-polls every few ms while
+            # blocked (the Stall record already marks the blockage), and
+            # the acquire retry and catch-up poll would flood it the same
+            # way.
             self.runtime.events.emit(
                 "timer", now, self.runtime.frame, timer=kind
             )
@@ -1324,17 +1437,7 @@ class SiteEngine:
             self._set(TIMER_PING, now + interval, effects)
         elif kind == TIMER_RETRY:
             if self.phase == PHASE_HANDSHAKE:
-                if (
-                    self._handshake_deadline is not None
-                    and now >= self._handshake_deadline
-                ):
-                    self.runtime.events.emit(
-                        "error",
-                        now,
-                        self.runtime.frame,
-                        error="handshake timeout",
-                    )
-                    self._terminate("handshake-timeout", now, effects)
+                if self._start_timed_out(now, effects):
                     return
                 self._outbox.extend(self.runtime.control_messages(now))
                 self._set(
@@ -1377,6 +1480,14 @@ class SiteEngine:
         elif kind == TIMER_LINGER:
             if self.phase == PHASE_LINGER:
                 self._set(TIMER_LINGER, now + 0.05, effects)
+            elif self.phase == PHASE_CATCHUP:
+                self._set(TIMER_LINGER, now + self.CATCHUP_POLL, effects)
+        elif kind == TIMER_REQUEST:
+            if self.phase == PHASE_ACQUIRE and not self._start_timed_out(
+                now, effects
+            ):
+                self._outbox.append(self.acquisition.request())
+                self._set(TIMER_REQUEST, now + self.REQUEST_INTERVAL, effects)
         elif kind == TIMER_RESYNC:
             if self.phase == PHASE_RESYNC:
                 # Episodes must survive loss: re-send every digest not yet
@@ -1407,6 +1518,9 @@ class SiteEngine:
         self._set(TIMER_SEND, now + period, effects)
 
     def _flush(self, now: float, effects: List[Effect]) -> None:
+        if self.switcher is not None:
+            # The consistency policy runs on the flush cadence.
+            self._outbox.extend(self.switcher.poll(now))
         # Session-control retransmissions (e.g. START to a peer whose copy
         # was lost) must continue after this site enters its frame loop —
         # a peer may still be waiting on them.
@@ -1450,14 +1564,28 @@ class SiteEngine:
             self._advance_resync(now, effects)
         elif self.phase == PHASE_LINGER:
             self._maybe_finish_linger(now, effects)
+        elif self.phase == PHASE_ACQUIRE:
+            if self.acquisition.seat(now):
+                self.joined_at_frame = self.runtime.frame
+                self._clear(TIMER_REQUEST)
+                self._frame_cycle(now, effects)
+        elif self.phase == PHASE_CATCHUP:
+            speculation = self.speculation
+            speculation.confirm_pending(now)
+            if (
+                speculation.confirmed_frontier >= self.max_frames - 1
+                or now >= self._catchup_deadline
+            ):
+                self._clear(TIMER_LINGER)
+                self._linger(now, effects)
 
     def _on_datagram(self, now: float, effects: List[Effect]) -> None:
-        """Hook: called after each datagram is absorbed (before the pump).
+        """Called after each datagram is absorbed (before the pump).
 
-        The base behaviour restores the suspended-phase retransmission
-        cadence: hearing *anything* authenticated from a peer means the
-        path is back, so the next probe should go out promptly instead of
-        waiting out a maxed-out backoff.
+        Restores the suspended-phase retransmission cadence: hearing
+        *anything* authenticated from a peer means the path is back, so
+        the next probe should go out promptly instead of waiting out a
+        maxed-out backoff.
         """
         liveness = self.runtime.liveness
         if (
@@ -1554,8 +1682,18 @@ class SiteEngine:
     def _commit_frame(self, now: float, effects: List[Effect]) -> bool:
         """Transition + present + EndFrameTiming.  True: begin the next
         frame immediately (no wait owed)."""
-        self._commit(self._merged, self._stall, self._sync_adjust, now, effects)
-        request = self.runtime.take_state_request()
+        runtime = self.runtime
+        frame = runtime.frame
+        merged = self._merged
+        if self.mode == MODE_ROLLBACK:
+            # Zero-lag speculative step; the shadow records the trace as
+            # the frame confirms.
+            self.speculation.step(merged)
+        else:
+            runtime.run_transition(merged, self._stall, self._sync_adjust)
+            runtime.on_present(frame, now)
+        effects.append(Present(frame, merged))
+        request = runtime.take_state_request()
         if request is not None:
             self._serve_state(request, effects, now=now)
         self._service_resume(now, effects)
@@ -1564,7 +1702,7 @@ class SiteEngine:
             # Serving the request opened an episode (a peer proved a
             # divergence we had not yet seen): the loop is frozen now.
             return False
-        deadline = self.runtime.end_frame_deadline(now)
+        deadline = runtime.end_frame_deadline(now)
         if self._frames_done():
             self._enter_linger(now, effects)
             return False
@@ -1581,10 +1719,23 @@ class SiteEngine:
         """±25% jitter so two suspended sites don't probe in phase."""
         return delay * self._rng.uniform(0.75, 1.25)
 
+    def _start_timed_out(self, now: float, effects: List[Effect]) -> bool:
+        """End a handshake or acquire phase that outlived
+        ``config.handshake_timeout_s`` (None: retry forever)."""
+        deadline = self._start_deadline
+        if deadline is None or now < deadline:
+            return False
+        self.runtime.events.emit(
+            "error", now, self.runtime.frame, error=f"{self.phase} timeout"
+        )
+        self._terminate("handshake-timeout", now, effects)
+        return True
+
     def _terminate(
         self, reason: str, now: float, effects: List[Effect]
     ) -> None:
-        """Stop the engine for ``reason``; emits ``Finished``."""
+        """Stop the engine for ``reason`` (in :data:`TERMINATIONS`);
+        emits ``Finished``."""
         self.termination = reason
         self._timers.clear()
         self.phase = PHASE_DONE
@@ -1947,13 +2098,31 @@ class SiteEngine:
     def _resync_restore(self, state: bytes, anchor: int, now: float) -> None:
         """Rewind everything frame-indexed to ``anchor`` and replay forward
         from locally retained inputs (``retain_floor`` guaranteed they were
-        never pruned, so no network retransmission is involved)."""
+        never pruned, so no network retransmission is involved).
+
+        In rollback mode the rewind lands on the *shadow* timeline (the one
+        digests sample); speculation stays frozen at the frontier and is
+        rebuilt from the healed shadow when the episode closes.
+        """
         runtime = self.runtime
+        speculation = self.speculation
+        rollback = self.mode == MODE_ROLLBACK
+        # Rollback begin times are indexed by *speculative* frames, which
+        # do not rewind — preserve them across the committed-row truncation.
+        begins = runtime.trace.begin_times[:] if rollback else None
         runtime.machine.load_state(bytes(state))
         runtime.trace.truncate_after(anchor)
+        if begins is not None:
+            runtime.trace.begin_times[:] = begins
         runtime.digests.rewind(anchor)
         runtime.lockstep.rewind_delivery(anchor)
-        runtime.frame = anchor + 1
+        if rollback:
+            speculation.confirmed_count = anchor + 1
+        else:
+            runtime.frame = anchor + 1
+        if speculation is not None:
+            # Speculated-word bookkeeping for the replayed window is void.
+            speculation.used_inputs.clear()
         runtime.events.emit(
             "resync_restore",
             now,
@@ -1961,23 +2130,36 @@ class SiteEngine:
             anchor=anchor,
             frozen=self._resync_frozen,
         )
-        self._resync_replay(now)
+        self._resync_progress(now)
 
-    def _resync_replay(self, now: float) -> None:
+    def _resync_progress(self, now: float) -> None:
         """Re-execute restored-over frames up to (not including) the frozen
-        frame; the frozen frame itself re-enters via the normal gate."""
+        frame; the frozen frame itself re-enters via the normal gate.  In
+        rollback mode re-confirm the shadow instead (``used_inputs`` is
+        empty for the replayed window, so no spec rollback fires)."""
         runtime = self.runtime
+        speculation = self.speculation
+        if self.mode == MODE_ROLLBACK:
+            speculation.confirm_pending(now)
+            return
         lockstep = runtime.lockstep
         while runtime.frame < self._resync_frozen and lockstep.can_deliver():
             runtime.replay_transition(lockstep.deliver(), now)
-
-    def _resync_progress(self, now: float) -> None:
-        """Advance the replay (hook: the rollback engine re-confirms its
-        shadow timeline here instead)."""
-        self._resync_replay(now)
+        if speculation is not None:
+            speculation.confirmed_count = lockstep.ibuf_pointer
 
     def _finish_resync(self, now: float, effects: List[Effect]) -> None:
-        """Agreement re-established past every divergence: thaw the loop."""
+        """Agreement re-established past every divergence: thaw the loop.
+
+        In rollback mode the speculative machine ran (and kept presenting)
+        the divergent timeline: rebuild it from the healed shadow and
+        re-speculate the unconfirmed suffix first.  In lockstep mode a
+        policy-driven engine's speculative machine is stale but idle; a
+        later switch re-syncs it before any speculation.
+        """
+        if self.mode == MODE_ROLLBACK:
+            speculation = self.speculation
+            speculation.rollback_and_replay(speculation.confirmed_frontier + 1, now)
         runtime = self.runtime
         elapsed = now - self._resync_started
         runtime.metrics.resync_success.inc()
@@ -1997,25 +2179,28 @@ class SiteEngine:
         self._frame_cycle(now, effects)
 
     # ------------------------------------------------------------------
-    # Hooks (overridden by rollback / late-join engines)
+    # Consistency mode: the gate
     # ------------------------------------------------------------------
     def _try_ready(self, now: float) -> Optional[int]:
-        """The line-21 exit check; None while delivery is blocked."""
-        return self.runtime.try_deliver()
+        """The line-21 exit check; None while the gate stays closed.
 
-    def _commit(
-        self,
-        merged: int,
-        stall: float,
-        sync_adjust: float,
-        now: float,
-        effects: List[Effect],
-    ) -> None:
-        """Transition + present for one frame."""
-        frame = self.runtime.frame
-        self.runtime.run_transition(merged, stall, sync_adjust)
-        self.runtime.on_present(frame, now)
-        effects.append(Present(frame, merged))
+        Lockstep delivers the merged confirmed word; rollback's gate is
+        the speculation-window bound and returns the zero-lag prediction.
+        """
+        speculation = self.speculation
+        if speculation is None:
+            return self.runtime.try_deliver()
+        if self.mode == MODE_ROLLBACK:
+            switcher = self.switcher
+            if switcher is None or not switcher.settling:
+                return speculation.gate(now)
+            # Leaving rollback: confirm (only) until speculation drains,
+            # then continue this very gate check in lockstep mode.
+            speculation.confirm_pending(now)
+            if speculation.confirmed_frontier < self.runtime.frame - 1:
+                return None
+            switcher.finish(MODE_LOCKSTEP, now)
+        return speculation.deliver()
 
     def _frames_done(self) -> bool:
         return self.runtime.frame >= self.max_frames
@@ -2076,6 +2261,20 @@ class SiteEngine:
     # Linger
     # ------------------------------------------------------------------
     def _enter_linger(self, now: float, effects: List[Effect]) -> None:
+        """Every frame ran: linger — after a catch-up phase confirming
+        whatever a speculating site still has in flight."""
+        speculation = self.speculation
+        if (
+            speculation is not None
+            and speculation.confirmed_frontier < self.max_frames - 1
+        ):
+            self.phase = PHASE_CATCHUP
+            self._catchup_deadline = now + self.linger
+            self._set(TIMER_LINGER, now + self.CATCHUP_POLL, effects)
+            return
+        self._linger(now, effects)
+
+    def _linger(self, now: float, effects: List[Effect]) -> None:
         self.frames_complete = True
         self.phase = PHASE_LINGER
         self._linger_deadline = now + self.linger

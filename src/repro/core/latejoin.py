@@ -28,187 +28,133 @@ state for a delta to patch.  The donor pays this once per join; its
 per-frame checksum/trace costs are unaffected (those ride the incremental
 page-CRC path).
 
-With the sans-IO refactor the joiner is :class:`LateJoinEngine` — the
-ordinary :class:`~repro.core.engine.SiteEngine` with the start handshake
-replaced by an *acquire* phase (request timer + snapshot wait).  Any
-driver can host it: on the simulator, a
-:class:`~repro.core.vm.DistributedVM` whose ``start_delay`` is the join
-time.
+Joining is a start phase of the one engine, not a separate class: a
+:class:`~repro.core.engine.SiteEngine` given a ``donor_site`` skips the
+start handshake and runs an *acquire* phase instead (a request timer plus
+the snapshot wait), then enters the ordinary frame loop.  Any driver can
+host it: on the simulator, a :class:`~repro.core.vm.DistributedVM` whose
+``start_delay`` is the join time; over real UDP, an
+:class:`~repro.core.aio.AioSite` whose ``run()`` starts late.  A donor that
+never answers ends the joiner like an unanswered handshake:
+``termination == "handshake-timeout"`` after
+``config.handshake_timeout_s``.
+
+A crashed-and-restarted site rejoins its suspended session the same way,
+given ``last_acked_frame`` as well:
+
+* the request is a :class:`~repro.core.messages.Resume` carrying the last
+  own frame the donor was seen to ack (the authentication cookie),
+* the lockstep vectors are seeded with
+  :meth:`~repro.core.lockstep.LockstepSync.resume_from_snapshot` — the
+  donor already holds our inputs through the snapshot frame, so our
+  still-unacked window must stay unacked,
+* the input backlog for that window is *replayed* from the local source
+  (sources are deterministic functions of the frame number), producing
+  bit-identical words, so the resumed run's checksums match a
+  never-disconnected twin.
+
+This module holds both halves: :class:`Acquisition`, the acquire phase a
+joining engine owns, and :func:`register_late_join`, which prepares the
+running sites for a joiner.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import TYPE_CHECKING, Optional, Tuple
 
-from repro.core.engine import (
-    Effect,
-    PHASE_ACQUIRE,
-    SiteEngine,
-    SiteRuntime,
-    TIMER_PING,
-)
 from repro.core.messages import Message, Resume, StateRequest
 
-TIMER_REQUEST = "state-request"
+if TYPE_CHECKING:
+    from repro.core.engine import SiteRuntime
 
 
-class LateJoinError(RuntimeError):
-    """The joiner could not obtain a snapshot."""
+class Acquisition:
+    """The acquire phase of a joining site: request the donor's savestate
+    until one lands, then seat the site's machine and sync vectors on it.
 
-
-class LateJoinEngine(SiteEngine):
-    """A site that joins a running session from a donor's savestate."""
-
-    #: How often the joiner re-sends STATE_REQUEST.
-    REQUEST_INTERVAL = 0.1
-    #: Give up after this many seconds without a snapshot.
-    REQUEST_TIMEOUT = 30.0
-
-    def __init__(
-        self,
-        runtime: SiteRuntime,
-        max_frames: int,
-        *,
-        donor_site: int = 0,
-        **options: object,
-    ) -> None:
-        super().__init__(runtime, max_frames, **options)  # type: ignore[arg-type]
-        self.donor_site = donor_site
-        self.joined_at_frame: Optional[int] = None
-        self._acquire_deadline = 0.0
-
-    def start(self, now: float) -> List[Effect]:
-        """Skip the start handshake: request state until a snapshot lands."""
-        effects: List[Effect] = []
-        self.phase = PHASE_ACQUIRE
-        self._acquire_deadline = now + self.REQUEST_TIMEOUT
-        self._arm_send(now, effects)
-        self._set(TIMER_PING, now, effects)
-        self._set(TIMER_REQUEST, now, effects)
-        return self._pump(now, effects)
-
-    def _request_message(self) -> Message:
-        """The message re-sent to the donor until a snapshot arrives."""
-        return StateRequest(self.runtime.site_no, self.runtime.session_id)
-
-    def _seed_lockstep(self, snapshot) -> None:
-        """Seat the sync vectors around the acquired snapshot (cold join)."""
-        runtime = self.runtime
-        # The admission gate peers apply is snapshot + 1 + the
-        # *configured* BufFrame; pin our lag there so our first input
-        # lands exactly on it (adaptive lag, if enabled, resumes
-        # afterwards).
-        runtime.lockstep.set_local_lag(runtime.config.buf_frame)
-        runtime.lockstep.seed_from_snapshot(snapshot.frame, snapshot.backlog)
-
-    def _on_timer(self, kind: str, now: float, effects: List[Effect]) -> None:
-        if kind == TIMER_REQUEST:
-            if self.phase != PHASE_ACQUIRE:
-                return
-            if now >= self._acquire_deadline:
-                raise LateJoinError(
-                    f"site {self.runtime.site_no}: no snapshot from donor "
-                    f"{self.donor_site} within {self.REQUEST_TIMEOUT}s"
-                )
-            self._outbox.append(
-                (self._request_message(), self.runtime.address_of[self.donor_site])
-            )
-            self._set(TIMER_REQUEST, now + self.REQUEST_INTERVAL, effects)
-            return
-        super()._on_timer(kind, now, effects)
-
-    def _advance(self, now: float, effects: List[Effect]) -> None:
-        if self.phase == PHASE_ACQUIRE:
-            runtime = self.runtime
-            snapshot = runtime.latest_snapshot
-            if snapshot is None:
-                return
-            if not snapshot.crc_ok():
-                # Corrupted in flight: drop it and let the request timer
-                # re-ask the donor (whose cache re-serves the same frame).
-                runtime.latest_snapshot = None
-                runtime.metrics.state_crc_errors.inc()
-                runtime.events.emit(
-                    "state_crc_error",
-                    now,
-                    runtime.frame,
-                    peer=snapshot.sender_site,
-                    at=snapshot.frame,
-                )
-                return
-            runtime.machine.load_state(snapshot.state)
-            runtime.metrics.on_state_acquired(len(snapshot.state))
-            runtime.events.emit(
-                "state_acquire",
-                now,
-                snapshot.frame + 1,
-                snapshot_frame=snapshot.frame,
-                bytes=len(snapshot.state),
-            )
-            self._seed_lockstep(snapshot)
-            runtime.frame = snapshot.frame + 1
-            runtime.trace.first_frame = runtime.frame
-            self.joined_at_frame = runtime.frame
-            # The joiner never ran the start handshake; it is live now (and
-            # must stop offering HELLO to the master).
-            runtime.session.mark_live(now)
-            self._clear(TIMER_REQUEST)
-            self._frame_cycle(now, effects)
-            return
-        super()._advance(now, effects)
-
-
-class ResumeEngine(LateJoinEngine):
-    """A crashed-and-restarted site rejoining its suspended session.
-
-    The acquire machinery is the late joiner's, but the handshake and the
-    seeding differ:
-
-    * the request is a :class:`~repro.core.messages.Resume` carrying the
-      last own frame the donor was seen to ack (the authentication cookie),
-    * the lockstep vectors are seeded with
-      :meth:`~repro.core.lockstep.LockstepSync.resume_from_snapshot` — the
-      donor already holds our inputs through the snapshot frame, so our
-      still-unacked window must stay unacked,
-    * the input backlog for that window is *replayed* from the local source
-      (sources are deterministic functions of the frame number), producing
-      bit-identical words, so the resumed run's checksums match a
-      never-disconnected twin.
+    ``last_acked_frame`` None makes this a cold late join; a frame number
+    (the resume cookie) makes it a crashed site resuming its own seat.
     """
 
     def __init__(
         self,
         runtime: SiteRuntime,
-        max_frames: int,
-        *,
-        donor_site: int = 0,
-        last_acked_frame: int = -1,
-        **options: object,
+        donor_site: int,
+        last_acked_frame: Optional[int] = None,
     ) -> None:
-        super().__init__(
-            runtime, max_frames, donor_site=donor_site, **options
-        )
+        self.runtime = runtime
+        self.donor_site = donor_site
         self.last_acked_frame = last_acked_frame
 
-    def _request_message(self) -> Message:
-        return Resume(
-            self.runtime.site_no,
-            self.runtime.session_id,
-            self.last_acked_frame,
-        )
-
-    def _seed_lockstep(self, snapshot) -> None:
+    def request(self) -> Tuple[Message, str]:
+        """The (message, destination) re-sent until a snapshot arrives."""
         runtime = self.runtime
+        if self.last_acked_frame is None:
+            message: Message = StateRequest(runtime.site_no, runtime.session_id)
+        else:
+            message = Resume(
+                runtime.site_no, runtime.session_id, self.last_acked_frame
+            )
+        return message, runtime.address_of[self.donor_site]
+
+    def seat(self, now: float) -> bool:
+        """Load the donor's snapshot if one landed and seat the sync
+        vectors around it; True once seated (``runtime.frame`` is then the
+        first frame to execute)."""
+        runtime = self.runtime
+        snapshot = runtime.latest_snapshot
+        if snapshot is None:
+            return False
+        if not snapshot.crc_ok():
+            # Corrupted in flight: drop it and let the request timer
+            # re-ask the donor (whose cache re-serves the same frame).
+            runtime.latest_snapshot = None
+            runtime.metrics.state_crc_errors.inc()
+            runtime.events.emit(
+                "state_crc_error",
+                now,
+                runtime.frame,
+                peer=snapshot.sender_site,
+                at=snapshot.frame,
+            )
+            return False
+        runtime.machine.load_state(snapshot.state)
+        runtime.metrics.on_state_acquired(len(snapshot.state))
+        runtime.events.emit(
+            "state_acquire",
+            now,
+            snapshot.frame + 1,
+            snapshot_frame=snapshot.frame,
+            bytes=len(snapshot.state),
+        )
         lockstep = runtime.lockstep
-        lockstep.set_local_lag(runtime.config.buf_frame)
-        lockstep.resume_from_snapshot(snapshot.frame, snapshot.backlog)
-        # Replay our own unacked window f+1-buf .. f; with local lag the
-        # replayed words land on slots f+1 .. f+buf, which the donor has
-        # not acked, so the ordinary pump retransmits them.
-        first = max(0, snapshot.frame + 1 - runtime.config.buf_frame)
-        for frame in range(first, snapshot.frame + 1):
-            lockstep.buffer_local_input(frame, runtime.source.get(frame))
-        runtime.metrics.resumes.inc()
+        buf_frame = runtime.config.buf_frame
+        # The admission gate peers apply is snapshot + 1 + the
+        # *configured* BufFrame; pin our lag there so our first input
+        # lands exactly on it (adaptive lag, if enabled, resumes
+        # afterwards).
+        lockstep.set_local_lag(buf_frame)
+        if self.last_acked_frame is None:
+            lockstep.seed_from_snapshot(snapshot.frame, snapshot.backlog)
+        else:
+            # Resume: the donor already holds our inputs through the
+            # snapshot frame, so our still-unacked window must stay
+            # unacked.  Replay it (f+1-buf .. f) from the source — sources
+            # are deterministic in the frame number, so the words are
+            # bit-identical; with local lag they land on slots f+1 ..
+            # f+buf, which the donor has not acked, so the ordinary pump
+            # retransmits them.
+            lockstep.resume_from_snapshot(snapshot.frame, snapshot.backlog)
+            first = max(0, snapshot.frame + 1 - buf_frame)
+            for frame in range(first, snapshot.frame + 1):
+                lockstep.buffer_local_input(frame, runtime.source.get(frame))
+            runtime.metrics.resumes.inc()
+        runtime.frame = snapshot.frame + 1
+        runtime.trace.first_frame = runtime.frame
+        # The joiner never ran the start handshake; it is live now (and
+        # must stop offering HELLO to the master).
+        runtime.session.mark_live(now)
+        return True
 
 
 def register_late_join(session_vms, donor_vm, joiner_site: int) -> None:

@@ -50,7 +50,7 @@ class SessionPlan:
     #: OS sleep overshoot bound (the paper's testbed: Windows XP, ~10 ms).
     timer_granularity: float = 0.0
     #: Sites participating in the start handshake (None = all).  Late
-    #: joiners are excluded here and driven by a LateJoinEngine instead.
+    #: joiners are excluded here and driven by an engine given a donor.
     handshake_sites: Optional[List[int]] = None
 
     def __post_init__(self) -> None:

@@ -21,8 +21,9 @@ This module makes the choice *per site and per RTT regime*:
   ``policy_rollback_above_s``, back to lockstep only when every link is
   below ``policy_lockstep_below_s``, with a dwell time between
   transitions.
-* :class:`AdaptiveEngine` — a :class:`~repro.core.rollback.RollbackEngine`
-  that actually runs in either mode and switches mid-session.
+* :class:`ModeSwitch` — the switch handshake a speculating
+  :class:`~repro.core.engine.SiteEngine` built with ``adaptive=True`` owns;
+  the engine runs in either mode and switches mid-session.
 
 Switch protocol
 ---------------
@@ -59,25 +60,15 @@ from typing import Deque, List, Optional, Tuple
 
 from repro.core.config import SyncConfig
 from repro.core.engine import (
-    Effect,
-    GameMachine,
     PHASE_COMPUTE,
     PHASE_FRAME_WAIT,
     PHASE_GATE,
     SiteEngine,
-    SiteRuntime,
 )
 from repro.core.inputs import InputSource
-from repro.core.messages import MODE_LOCKSTEP, MODE_ROLLBACK, SwitchRequest
-from repro.core.rollback import (
-    PredictorSpec,
-    RollbackEngine,
-    build_speculative_session,
-)
+from repro.core.messages import MODE_LOCKSTEP, MODE_ROLLBACK, Message, SwitchRequest
+from repro.core.rollback import PredictorSpec, build_speculative_session
 from repro.core.rtt import RttEstimator
-
-#: Human-readable mode names for events, snapshots and test output.
-MODE_NAMES = {MODE_LOCKSTEP: "lockstep", MODE_ROLLBACK: "rollback"}
 
 
 class LagTuner:
@@ -179,17 +170,17 @@ class _PendingSwitch:
         self.acked = False
 
 
-class AdaptiveEngine(RollbackEngine):
-    """A site that runs lockstep while the network allows and switches to
-    rollback (and back) when the consistency policy says so.
+class ModeSwitch:
+    """Policy-driven lockstep↔rollback switching, owned by a speculating
+    :class:`~repro.core.engine.SiteEngine` built with ``adaptive=True``.
 
-    In lockstep mode the engine behaves exactly like :class:`SiteEngine`
-    — ordinary delivery gate, ``run_transition`` on the confirmed machine
-    — while keeping the rollback bookkeeping (confirmation counter,
-    predictor observations) warm so a switch is cheap.  In rollback mode
-    it is its base class.  ``runtime.machine`` is the confirmed machine
-    in *both* modes, so the consistency trace never breaks across a
-    switch.
+    In lockstep mode the engine behaves exactly like a pinned lockstep
+    site — ordinary delivery gate, ``run_transition`` on the confirmed
+    machine — while its :class:`~repro.core.rollback.Speculation` keeps the
+    frontier and predictor warm so a switch is cheap.  ``runtime.machine``
+    is the confirmed machine in *both* modes, so the consistency trace
+    never breaks across a switch.  The engine calls :meth:`poll` on its
+    ~20 ms flush cadence.
     """
 
     #: Retransmission period for an unacked SWITCH_REQ.
@@ -198,36 +189,9 @@ class AdaptiveEngine(RollbackEngine):
     #: Handshake-history retention (see ``switch_log``).
     SWITCH_LOG_LIMIT = 256
 
-    def __init__(
-        self,
-        runtime: SiteRuntime,
-        max_frames: int,
-        *,
-        spec_machine: GameMachine,
-        speculation_window: int = 60,
-        predictor: PredictorSpec = None,
-        initial_mode: int = MODE_LOCKSTEP,
-        **options: object,
-    ) -> None:
-        super().__init__(
-            runtime,
-            max_frames,
-            spec_machine=spec_machine,
-            speculation_window=speculation_window,
-            predictor=predictor,
-            drain_lag=False,  # lag is the policy layer's to manage
-            **options,
-        )
-        self.mode = initial_mode
-        if (
-            initial_mode == MODE_ROLLBACK
-            and runtime.config.policy_drain_lag
-            and runtime.lockstep.local_lag_frames
-        ):
-            runtime.lockstep.set_local_lag(0)
-        self.policy = ConsistencyPolicy(runtime.config)
-        #: Committed switches this session (mirrors the metric).
-        self.policy_switch_count = 0
+    def __init__(self, engine: SiteEngine) -> None:
+        self.engine = engine
+        self.policy = ConsistencyPolicy(engine.runtime.config)
         #: Recent handshake history as ``(kind, time, frame, mode, seq)``
         #: tuples, kind ∈ {propose, abort, commit}.  Bounded: a flapping
         #: link can propose on every policy tick for hours, and an
@@ -237,87 +201,34 @@ class AdaptiveEngine(RollbackEngine):
         self.switch_log: Deque[Tuple[str, float, int, int, int]] = deque(
             maxlen=self.SWITCH_LOG_LIMIT
         )
-        self._pending_switch: Optional[_PendingSwitch] = None
+        self._pending: Optional[_PendingSwitch] = None
         #: True while leaving rollback: the gate blocks until every
         #: speculated frame is confirmed, then the mode flips.
-        self._settling = False
-        self._switch_seq = 0
+        self.settling = False
+        self._seq = 0
 
-    # ------------------------------------------------------------------
-    @property
-    def mode_name(self) -> str:
-        return MODE_NAMES.get(self.mode, str(self.mode))
-
-    def _log_switch(
-        self, kind: str, now: float, frame: int, mode: int, seq: int
-    ) -> None:
+    def _log(self, kind: str, now: float, frame: int, mode: int, seq: int) -> None:
         log = self.switch_log
         if len(log) == log.maxlen:
-            self.runtime.metrics.switch_log_evictions.inc()
+            self.engine.runtime.metrics.switch_log_evictions.inc()
         log.append((kind, now, frame, mode, seq))
 
-    # ------------------------------------------------------------------
-    # Mode-dispatched engine hooks
-    # ------------------------------------------------------------------
-    def _try_ready(self, now: float) -> Optional[int]:
-        if self.mode == MODE_ROLLBACK:
-            if not self._settling:
-                return super()._try_ready(now)
-            # Leaving rollback: confirm (only) until speculation drains,
-            # then continue this very gate check in lockstep mode.
-            self._confirm_pending(now)
-            if self.confirmed_frontier < self.runtime.frame - 1:
-                return None
-            self._finish_switch(MODE_LOCKSTEP, now)
-        return self._lockstep_ready()
-
-    def _lockstep_ready(self) -> Optional[int]:
-        """Plain delivery gate, keeping predictor/frontier state warm."""
-        lockstep = self.runtime.lockstep
-        if not lockstep.can_deliver():
-            return None
-        frame = lockstep.ibuf_pointer
-        for site in range(lockstep.num_sites):
-            value = lockstep.ibuf.get(frame, site)
-            if value is not None:
-                self.predictor.observe(site, frame, value, confirmed=True)
-        merged = lockstep.deliver()
-        self._confirmed_count += 1
-        return merged
-
-    def _commit(
-        self,
-        merged: int,
-        stall: float,
-        sync_adjust: float,
-        now: float,
-        effects: List[Effect],
-    ) -> None:
-        if self.mode == MODE_ROLLBACK:
-            super()._commit(merged, stall, sync_adjust, now, effects)
-        else:
-            SiteEngine._commit(self, merged, stall, sync_adjust, now, effects)
-
-    # ------------------------------------------------------------------
-    # Policy evaluation (runs on the ~20 ms flush cadence)
-    # ------------------------------------------------------------------
-    def _flush(self, now: float, effects: List[Effect]) -> None:
-        self._run_policy(now)
-        super()._flush(now, effects)
-
-    def _run_policy(self, now: float) -> None:
-        runtime = self.runtime
-        if not runtime.session.started or self.done:
-            return
-        active = self.phase in (PHASE_GATE, PHASE_COMPUTE, PHASE_FRAME_WAIT)
-        pending = self._pending_switch
+    def poll(self, now: float) -> List[Tuple[Message, str]]:
+        """Advance the policy and any open handshake; returns the
+        SWITCH_REQ datagrams due now."""
+        engine = self.engine
+        runtime = engine.runtime
+        if not runtime.session.started or engine.done:
+            return []
+        active = engine.phase in (PHASE_GATE, PHASE_COMPUTE, PHASE_FRAME_WAIT)
+        pending = self._pending
         if pending is not None:
             if not active:
                 # The frame horizon arrived mid-handshake; the proposal
                 # is moot (peers already recorded the announced mode,
                 # which is harmless telemetry).
-                self._pending_switch = None
-                return
+                self._pending = None
+                return []
             if not pending.acked and all(
                 runtime.switch_acks.get(site, -1) >= pending.seq
                 for site in runtime.peer_sites
@@ -326,12 +237,12 @@ class AdaptiveEngine(RollbackEngine):
             if pending.acked:
                 # Commit only at a frame boundary: in PHASE_COMPUTE a
                 # merged word is in flight for the wrong machine.
-                if self.phase != PHASE_COMPUTE:
-                    self._pending_switch = None
-                    self._commit_switch(pending.mode, now)
-                return
+                if engine.phase != PHASE_COMPUTE:
+                    self._pending = None
+                    self._commit(pending.mode, now)
+                return []
             if now >= pending.deadline:
-                self._pending_switch = None
+                self._pending = None
                 self.policy.note_transition(now)
                 runtime.events.emit(
                     "switch_abort",
@@ -340,42 +251,34 @@ class AdaptiveEngine(RollbackEngine):
                     mode=pending.mode,
                     seq=pending.seq,
                 )
-                self._log_switch(
-                    "abort", now, runtime.frame, pending.mode, pending.seq
-                )
-                return
+                self._log("abort", now, runtime.frame, pending.mode, pending.seq)
+                return []
             if now >= pending.resend_at:
-                self._send_switch(pending, now)
-            return
-        if self._settling or not active:
-            return
+                return self._requests(pending, now)
+            return []
+        if self.settling or not active:
+            return []
         desired = self.policy.desired_mode(
-            now, runtime.rtt, runtime.peer_sites, self.mode
+            now, runtime.rtt, runtime.peer_sites, engine.mode
         )
-        if desired is not None and desired != self.mode:
-            self._propose_switch(desired, now)
-
-    def _propose_switch(self, mode: int, now: float) -> None:
-        runtime = self.runtime
-        self._switch_seq += 1
-        pending = _PendingSwitch(
-            seq=self._switch_seq,
-            mode=mode,
+        if desired is None or desired == engine.mode:
+            return []
+        self._seq += 1
+        pending = self._pending = _PendingSwitch(
+            seq=self._seq,
+            mode=desired,
             deadline=now + runtime.config.policy_switch_timeout_s,
         )
-        self._pending_switch = pending
         runtime.events.emit(
-            "switch_propose",
-            now,
-            runtime.frame,
-            mode=mode,
-            seq=pending.seq,
+            "switch_propose", now, runtime.frame, mode=desired, seq=pending.seq
         )
-        self._log_switch("propose", now, runtime.frame, mode, pending.seq)
-        self._send_switch(pending, now)
+        self._log("propose", now, runtime.frame, desired, pending.seq)
+        return self._requests(pending, now)
 
-    def _send_switch(self, pending: _PendingSwitch, now: float) -> None:
-        runtime = self.runtime
+    def _requests(
+        self, pending: _PendingSwitch, now: float
+    ) -> List[Tuple[Message, str]]:
+        runtime = self.engine.runtime
         pending.resend_at = now + self.SWITCH_RESEND
         message = SwitchRequest(
             sender_site=runtime.site_no,
@@ -384,73 +287,48 @@ class AdaptiveEngine(RollbackEngine):
             mode=pending.mode,
             frame=runtime.frame,
         )
+        out: List[Tuple[Message, str]] = []
         for site in runtime.peer_sites:
             if runtime.switch_acks.get(site, -1) >= pending.seq:
                 continue
             destination = runtime.address_of.get(site)
             if destination is not None:
-                self._outbox.append((message, destination))
+                out.append((message, destination))
+        return out
 
-    def _commit_switch(self, mode: int, now: float) -> None:
+    def _commit(self, mode: int, now: float) -> None:
         if mode == MODE_ROLLBACK:
             # The shadow has executed every delivered frame; bring the
             # (stale since the last rollback stint) speculative machine
             # up to it before the first speculation.
-            self._sync_spec_from_shadow()
-            self._used_inputs.clear()
-            self._finish_switch(MODE_ROLLBACK, now)
-            runtime = self.runtime
-            if (
-                runtime.config.policy_drain_lag
-                and runtime.lockstep.local_lag_frames
-            ):
-                runtime.lockstep.set_local_lag(0)
+            speculation = self.engine.speculation
+            speculation.sync_from_shadow()
+            speculation.used_inputs.clear()
+            self.finish(MODE_ROLLBACK, now)
+            lockstep = self.engine.runtime.lockstep
+            if self.engine.runtime.config.policy_drain_lag and lockstep.local_lag_frames:
+                lockstep.set_local_lag(0)
         else:
             # Leaving rollback takes two steps: the gate first drains
-            # speculation (see _try_ready), then the mode flips.
-            self._settling = True
+            # speculation (see SiteEngine._try_ready), then the mode flips.
+            self.settling = True
 
-    # ------------------------------------------------------------------
-    # Desync recovery: dispatch on the live mode.  In lockstep mode the
-    # engine rewinds like a plain SiteEngine, but the rollback frontier
-    # bookkeeping must track the delivery pointer so a later switch (or a
-    # settle in progress) stays coherent.
-    # ------------------------------------------------------------------
-    def _resync_restore(self, state, anchor: int, now: float) -> None:
-        if self.mode == MODE_ROLLBACK:
-            RollbackEngine._resync_restore(self, state, anchor, now)
-        else:
-            SiteEngine._resync_restore(self, state, anchor, now)
-            self._confirmed_count = self.runtime.lockstep.ibuf_pointer
-            self._used_inputs.clear()
-
-    def _resync_progress(self, now: float) -> None:
-        if self.mode == MODE_ROLLBACK:
-            RollbackEngine._resync_progress(self, now)
-        else:
-            SiteEngine._resync_progress(self, now)
-            self._confirmed_count = self.runtime.lockstep.ibuf_pointer
-
-    def _finish_resync(self, now: float, effects: List[Effect]) -> None:
-        if self.mode == MODE_ROLLBACK:
-            # Rebuilds the speculative machine from the healed shadow.
-            RollbackEngine._finish_resync(self, now, effects)
-        else:
-            # The spec machine is stale-but-idle in lockstep mode; a later
-            # switch re-syncs it (_commit_switch) before any speculation.
-            SiteEngine._finish_resync(self, now, effects)
-
-    def _finish_switch(self, mode: int, now: float) -> None:
-        self._settling = False
-        self.mode = mode
-        self.policy_switch_count += 1
+    def finish(self, mode: int, now: float) -> None:
+        """Flip the engine's mode: the committed end of a switch."""
+        engine = self.engine
+        self.settling = False
+        engine.mode = mode
+        engine.policy_switch_count += 1
         self.policy.note_transition(now)
-        runtime = self.runtime
+        runtime = engine.runtime
         runtime.metrics.policy_switches.inc()
-        runtime.events.emit(
-            "switch_commit", now, runtime.frame, mode=mode
-        )
-        self._log_switch("commit", now, runtime.frame, mode, self._switch_seq)
+        runtime.events.emit("switch_commit", now, runtime.frame, mode=mode)
+        self._log("commit", now, runtime.frame, mode, self._seq)
+
+
+#: The benchmark (``perfbench/``) is this name's only reader: it imports it
+#: to instrument the engine class of adaptive sessions.
+AdaptiveEngine = SiteEngine
 
 
 def build_adaptive_session(
@@ -468,12 +346,12 @@ def build_adaptive_session(
 ):
     """Wire an adaptive-consistency session on the simulator.
 
-    Sites run :class:`AdaptiveEngine` and may switch modes mid-session
-    under the configured consistency policy; the paper's default local lag
-    is the lockstep starting point.
+    Every site's :class:`~repro.core.engine.SiteEngine` is policy-driven
+    (``adaptive=True``) and may switch modes mid-session under the
+    configured consistency policy; the paper's default local lag is the
+    lockstep starting point.
     """
     return build_speculative_session(
-        AdaptiveEngine,
         game_factory,
         sources,
         netem,
@@ -484,5 +362,6 @@ def build_adaptive_session(
         frame_compute_time=frame_compute_time,
         speculation_window=speculation_window,
         predictor=predictor,
+        adaptive=True,
         initial_mode=initial_mode,
     )

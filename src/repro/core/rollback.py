@@ -6,8 +6,9 @@ applicable for solving our problem because rolling back states of a
 distributed game without semantic knowledge can be expensive."*
 
 The Machine contract already gives us game-transparent savestates, so the
-claim is measurable.  :class:`RollbackEngine` plays with **zero local
-lag**:
+claim is measurable.  A :class:`~repro.core.engine.SiteEngine` handed a
+speculative machine owns a :class:`Speculation` and, in rollback mode,
+plays with **zero local lag**:
 
 * local inputs land in their own frame's slot (``BufFrame = 0``),
 * the *speculative* machine executes every frame immediately, guessing
@@ -34,8 +35,8 @@ replay work measured by :class:`RollbackStats` — the quantity the paper's
 argument hinges on.
 
 Reliable input distribution, acks, retransmission and pruning are all
-reused unchanged from :class:`~repro.core.lockstep.LockstepSync`; the
-engine subclass only replaces the SyncInput gate (speculation-window
+reused unchanged from :class:`~repro.core.lockstep.LockstepSync`; in
+rollback mode the engine only swaps the SyncInput gate (speculation-window
 check instead of delivery) and the commit (speculative step instead of
 ``run_transition``), plus a catch-up phase confirming in-flight frames
 before the ordinary linger.
@@ -43,19 +44,13 @@ before the ordinary linger.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from repro.core.config import SyncConfig
-from repro.core.engine import (
-    Effect,
-    GameMachine,
-    PHASE_CATCHUP,
-    Present,
-    SiteEngine,
-    SiteRuntime,
-    TIMER_LINGER,
-)
 from repro.core.inputs import BITS_PER_PLAYER, InputAssignment, InputSource
+
+if TYPE_CHECKING:
+    from repro.core.engine import GameMachine, SiteRuntime
 
 
 def _state_mark(machine: GameMachine) -> int:
@@ -262,74 +257,57 @@ class RollbackStats:
         return out
 
 
-class RollbackEngine(SiteEngine):
-    """A site that speculates ahead with rollback instead of local lag.
+class Speculation:
+    """The speculative half of a rollback site, owned by its engine.
 
-    Construction mirrors :class:`SiteEngine` plus:
+    ``runtime.machine`` stays the confirmed *shadow*: it executes only
+    delivered (confirmed) inputs, so its trace is the one the consistency
+    checker and the state digests see.  ``machine`` runs ahead of it on
+    predicted inputs:
 
-    * ``spec_machine`` — a second, identically-constructed machine used for
-      speculation (``runtime.machine`` stays the confirmed shadow),
-    * ``speculation_window`` — how many frames speculation may run ahead of
+    * ``window`` — how many frames speculation may run ahead of
       confirmation before the site blocks (bounds replay cost and keeps a
       network partition from spinning the CPU),
     * ``predictor`` — an :class:`InputPredictor` (or registry name) that
-      guesses not-yet-received remote inputs,
-    * ``drain_lag`` — what to do with a non-zero ``buf_frame``: drain it
-      to zero at construction (default; zero input latency is rollback's
-      point) or keep it (the adaptive policy layer manages lag itself).
+      guesses not-yet-received remote inputs.
 
-    A handed-over session may therefore carry local lag: the engine calls
-    ``set_local_lag(0)`` and the lockstep slot mapping drains the
-    already-buffered lag window naturally (new local inputs targeting
-    already-filled slots are dropped until the frame counter catches up).
+    The engine keeps the frontier bookkeeping warm in lockstep mode too
+    (:meth:`deliver`), so a policy switch into rollback is cheap.
     """
-
-    #: Catch-up phase poll period (confirming in-flight frames after the
-    #: speculative horizon is reached).
-    CATCHUP_POLL = 0.02
 
     def __init__(
         self,
         runtime: SiteRuntime,
+        machine: GameMachine,
         max_frames: int,
-        *,
-        spec_machine: GameMachine,
-        speculation_window: int = 60,
+        window: int = 60,
         predictor: PredictorSpec = None,
-        drain_lag: bool = True,
-        **options: object,
     ) -> None:
-        super().__init__(runtime, max_frames, **options)  # type: ignore[arg-type]
-        if runtime.config.buf_frame != 0 and drain_lag:
-            # A hand-over from laggy lockstep: zero the lag now and let
-            # the slot mapping drain the pre-buffered window (the virtual
-            # empty history for a fresh session, the real one otherwise).
-            runtime.lockstep.set_local_lag(0)
-        self.spec_machine = spec_machine
-        self.speculation_window = speculation_window
+        self.runtime = runtime
+        self.machine = machine
+        self.max_frames = max_frames
+        self.window = window
         self.predictor = make_predictor(predictor, runtime.game_id)
-        self.rollback_stats = RollbackStats()
+        self.stats = RollbackStats()
         # Mirror for SiteMetrics.refresh (duck-typed runtime attribute).
-        runtime.rollback_stats = self.rollback_stats
+        runtime.rollback_stats = self.stats
         # Delta-snapshot marks: pages either machine dirties after these
         # marks are exactly what the next shadow→spec restore must copy
         # (both machines are freshly built and identical right now).
         self._shadow_mark = _state_mark(runtime.machine)
-        self._spec_mark = _state_mark(spec_machine)
+        self._spec_mark = _state_mark(machine)
         self._full_state_size: Optional[int] = None
         #: Input word the speculative machine used per frame.
-        self._used_inputs: Dict[int, int] = {}
+        self.used_inputs: Dict[int, int] = {}
         #: Count of frames delivered to the shadow (frontier + 1).
-        self._confirmed_count = 0
-        self._catchup_deadline = 0.0
+        self.confirmed_count = 0
 
-    # ------------------------------------------------------------------
     @property
     def confirmed_frontier(self) -> int:
         """Last frame whose inputs are fully confirmed (executed by shadow)."""
-        return self._confirmed_count - 1
+        return self.confirmed_count - 1
 
-    def _predict_input(self, frame: int) -> int:
+    def predict_input(self, frame: int) -> int:
         """Best-known merged input for ``frame``: exact partials where
         received, the predictor's guess where not."""
         lockstep = self.runtime.lockstep
@@ -353,17 +331,38 @@ class RollbackEngine(SiteEngine):
             partials[site] = value
         return lockstep.assignment.merge(partials)
 
-    def _advance_shadow(self) -> Optional[int]:
+    def _observe_confirmed(self, frame: int) -> None:
+        """Feed each site's confirmed pad state for ``frame`` to the
+        predictor before delivery prunes it."""
+        lockstep = self.runtime.lockstep
+        for site in range(lockstep.num_sites):
+            value = lockstep.ibuf.get(frame, site)
+            if value is not None:
+                self.predictor.observe(site, frame, value, confirmed=True)
+
+    def deliver(self) -> Optional[int]:
+        """Lockstep mode's delivery gate, keeping predictor and frontier
+        state warm for a later switch into rollback."""
+        lockstep = self.runtime.lockstep
+        if not lockstep.can_deliver():
+            return None
+        self._observe_confirmed(lockstep.ibuf_pointer)
+        merged = lockstep.deliver()
+        self.confirmed_count += 1
+        return merged
+
+    def advance_shadow(self) -> Optional[int]:
         """Deliver any newly confirmed frames into the shadow machine.
 
         Returns the first mispredicted frame among them, or None.
         """
         runtime = self.runtime
         lockstep = runtime.lockstep
+        stats = self.stats
         first_bad: Optional[int] = None
         # The shadow must never pass the speculation: only frames the spec
         # machine has executed (0..frame-1) may confirm, else the
-        # `_used_inputs` misprediction check is skipped for the overtaken
+        # `used_inputs` misprediction check is skipped for the overtaken
         # frame.  Unreachable at zero lag (slot `frame` completes during
         # that frame's own speculation), but with local lag kept (adaptive
         # policy) the buffer holds completed slots ahead of the spec — and
@@ -374,14 +373,9 @@ class RollbackEngine(SiteEngine):
             and lockstep.ibuf_pointer < self.max_frames
         ):
             frame = lockstep.ibuf_pointer
-            # Feed each site's confirmed pad state to the predictor
-            # before pruning discards it.
-            for site in range(lockstep.num_sites):
-                value = lockstep.ibuf.get(frame, site)
-                if value is not None:
-                    self.predictor.observe(site, frame, value, confirmed=True)
+            self._observe_confirmed(frame)
             merged = lockstep.deliver()
-            self._confirmed_count += 1
+            self.confirmed_count += 1
             runtime.machine.step(merged)
             checksum = runtime.machine.checksum()
             runtime.trace.record_frame(
@@ -394,17 +388,17 @@ class RollbackEngine(SiteEngine):
             # Digests sample the *confirmed* timeline only: speculative
             # frames (and their rollbacks) are invisible to peers.
             runtime.note_own_digest(frame, checksum)
-            self.rollback_stats.confirmed_frames += 1
-            used = self._used_inputs.pop(frame, None)
+            stats.confirmed_frames += 1
+            used = self.used_inputs.pop(frame, None)
             if used is not None:
-                self.rollback_stats.predicted_frames += 1
+                stats.predicted_frames += 1
                 if used != merged:
-                    self.rollback_stats.mispredicted_frames += 1
+                    stats.mispredicted_frames += 1
                     if first_bad is None:
                         first_bad = frame
         return first_bad
 
-    def _sync_spec_from_shadow(self) -> None:
+    def sync_from_shadow(self) -> None:
         """Make the speculative machine bit-identical to the shadow.
 
         Fast path: copy only the pages either machine has dirtied since
@@ -413,8 +407,8 @@ class RollbackEngine(SiteEngine):
         ``save_state``/``load_state`` pair.
         """
         shadow = self.runtime.machine
-        spec = self.spec_machine
-        stats = self.rollback_stats
+        spec = self.machine
+        stats = self.stats
         shadow_pages = _dirty_pages(shadow, self._shadow_mark)
         spec_pages = _dirty_pages(spec, self._spec_mark)
         if shadow_pages is None or spec_pages is None:
@@ -432,20 +426,17 @@ class RollbackEngine(SiteEngine):
         self._shadow_mark = _state_mark(shadow)
         self._spec_mark = _state_mark(spec)
 
-    def _rollback_and_replay(self, first_bad: int, now: float = 0.0) -> None:
+    def rollback_and_replay(self, first_bad: int, now: float) -> None:
         """Restore speculation from the shadow and replay the suffix."""
         runtime = self.runtime
-        self.rollback_stats.rollbacks += 1
-        copied_before = self.rollback_stats.snapshot_bytes_copied
-        self._sync_spec_from_shadow()
+        stats = self.stats
+        stats.rollbacks += 1
+        copied_before = stats.snapshot_bytes_copied
+        self.sync_from_shadow()
         replay_from = self.confirmed_frontier + 1
         depth = runtime.frame - replay_from
-        self.rollback_stats.max_replay_depth = max(
-            self.rollback_stats.max_replay_depth, depth
-        )
-        runtime.metrics.on_rollback(
-            depth, self.rollback_stats.snapshot_bytes_copied - copied_before
-        )
+        stats.max_replay_depth = max(stats.max_replay_depth, depth)
+        runtime.metrics.on_rollback(depth, stats.snapshot_bytes_copied - copied_before)
         runtime.events.emit(
             "rollback",
             now,
@@ -454,118 +445,37 @@ class RollbackEngine(SiteEngine):
             **{"from": first_bad, "to": runtime.frame},
         )
         for frame in range(replay_from, runtime.frame):
-            word = self._predict_input(frame)
-            self._used_inputs[frame] = word
-            self.spec_machine.step(word)
-            self.rollback_stats.replayed_frames += 1
+            word = self.predict_input(frame)
+            self.used_inputs[frame] = word
+            self.machine.step(word)
+            stats.replayed_frames += 1
 
-    def _confirm_pending(self, now: float = 0.0) -> None:
+    def confirm_pending(self, now: float) -> None:
         """Shadow-advance plus rollback — the per-wakeup confirmation step."""
-        first_bad = self._advance_shadow()
+        first_bad = self.advance_shadow()
         if first_bad is not None:
-            self._rollback_and_replay(first_bad, now)
+            self.rollback_and_replay(first_bad, now)
 
-    # ------------------------------------------------------------------
-    # Desync recovery overrides: the rewind lands on the *shadow* timeline
-    # (the one digests sample); speculation stays frozen at the frontier
-    # and is rebuilt from the healed shadow when the episode closes.
-    # ------------------------------------------------------------------
-    def _resync_restore(self, state, anchor: int, now: float) -> None:
-        runtime = self.runtime
-        # Begin times are indexed by *speculative* frames, which do not
-        # rewind — preserve them across the committed-row truncation.
-        begins = runtime.trace.begin_times[:]
-        runtime.machine.load_state(bytes(state))  # the confirmed shadow
-        runtime.trace.truncate_after(anchor)
-        runtime.trace.begin_times[:] = begins
-        runtime.digests.rewind(anchor)
-        runtime.lockstep.rewind_delivery(anchor)
-        self._confirmed_count = anchor + 1
-        # Speculated-word bookkeeping for the replayed window is void; the
-        # spec rebuild in _finish_resync re-records what it actually uses.
-        self._used_inputs.clear()
-        runtime.events.emit(
-            "resync_restore",
-            now,
-            runtime.frame,
-            anchor=anchor,
-            frozen=self._resync_frozen,
-        )
-        self._resync_progress(now)
-
-    def _resync_progress(self, now: float) -> None:
-        # Re-confirm the shadow from retained inputs; _used_inputs is
-        # empty for the replayed window, so no spec rollback fires here.
-        self._confirm_pending(now)
-
-    def _finish_resync(self, now, effects) -> None:
-        # The speculative machine ran (and kept presenting) the divergent
-        # timeline; rebuild it from the healed shadow and re-speculate the
-        # unconfirmed suffix before the frame loop thaws.
-        self._rollback_and_replay(self.confirmed_frontier + 1, now)
-        super()._finish_resync(now, effects)
-
-    # ------------------------------------------------------------------
-    # Engine hook overrides
-    # ------------------------------------------------------------------
-    def _try_ready(self, now: float) -> Optional[int]:
-        """Replace SyncInput's delivery gate with the speculation-window
-        bound; the returned word is the zero-lag *prediction*."""
-        self._confirm_pending(now)
-        runtime = self.runtime
-        if runtime.frame - self.confirmed_frontier > self.speculation_window:
-            self.rollback_stats.speculation_stalls += 1
+    def gate(self, now: float) -> Optional[int]:
+        """Rollback mode's SyncInput gate: the speculation-window bound
+        instead of delivery; the returned word is the zero-lag *prediction*."""
+        self.confirm_pending(now)
+        frame = self.runtime.frame
+        if frame - self.confirmed_frontier > self.window:
+            self.stats.speculation_stalls += 1
             return None
-        word = self._predict_input(runtime.frame)
-        self._used_inputs[runtime.frame] = word
+        word = self.predict_input(frame)
+        self.used_inputs[frame] = word
         return word
 
-    def _commit(
-        self,
-        merged: int,
-        stall: float,
-        sync_adjust: float,
-        now: float,
-        effects: List[Effect],
-    ) -> None:
+    def step(self, merged: int) -> None:
         """Execute the current frame speculatively, with zero input lag."""
-        del stall, sync_adjust  # recorded via the shadow, not here
-        frame = self.runtime.frame
-        self.spec_machine.step(merged)
-        self.rollback_stats.speculative_frames += 1
+        self.machine.step(merged)
+        self.stats.speculative_frames += 1
         self.runtime.frame += 1
-        effects.append(Present(frame, merged))
-
-    def _enter_linger(self, now: float, effects: List[Effect]) -> None:
-        """Finish: confirm everything still in flight, then linger."""
-        if self.confirmed_frontier < self.max_frames - 1:
-            self.phase = PHASE_CATCHUP
-            self._catchup_deadline = now + self.linger
-            self._set(TIMER_LINGER, now + self.CATCHUP_POLL, effects)
-            return
-        super()._enter_linger(now, effects)
-
-    def _on_timer(self, kind: str, now: float, effects: List[Effect]) -> None:
-        if kind == TIMER_LINGER and self.phase == PHASE_CATCHUP:
-            self._set(TIMER_LINGER, now + self.CATCHUP_POLL, effects)
-            return
-        super()._on_timer(kind, now, effects)
-
-    def _advance(self, now: float, effects: List[Effect]) -> None:
-        if self.phase == PHASE_CATCHUP:
-            self._confirm_pending(now)
-            if (
-                self.confirmed_frontier >= self.max_frames - 1
-                or now >= self._catchup_deadline
-            ):
-                self._clear(TIMER_LINGER)
-                SiteEngine._enter_linger(self, now, effects)
-            return
-        super()._advance(now, effects)
 
 
 def build_speculative_session(
-    engine_class,
     game_factory,
     sources: List[InputSource],
     netem,
@@ -577,13 +487,14 @@ def build_speculative_session(
     frame_compute_time: float,
     **engine_options: object,
 ):
-    """:func:`repro.core.multisite.build_session` with ``engine_class``
-    sites, each with a confirmed and a speculative machine from
-    ``game_factory``; ``engine_options`` go to every engine."""
+    """:func:`repro.core.multisite.build_session` with speculating sites,
+    each with a confirmed and a speculative machine from ``game_factory``;
+    ``engine_options`` go to every :class:`~repro.core.engine.SiteEngine`."""
+    from repro.core.engine import SiteEngine
     from repro.core.multisite import SessionPlan, build_session
 
     def make_engine(runtime, max_frames, **options):
-        return engine_class(
+        return SiteEngine(
             runtime,
             max_frames,
             spec_machine=game_factory(),
@@ -618,7 +529,6 @@ def build_rollback_session(
     """Wire a two-or-more-site rollback session on the simulator, under a
     zero-lag configuration unless ``config`` says otherwise."""
     return build_speculative_session(
-        RollbackEngine,
         game_factory,
         sources,
         netem,

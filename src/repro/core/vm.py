@@ -1,24 +1,21 @@
-"""Discrete-event driver: runs any engine it is handed on the simulator.
+"""Discrete-event driver: runs the engine it is handed on the simulator.
 
-The Algorithm 1 orchestration itself — handshake, send/ping pumps, the
-frame loop and the linger phase — lives in :mod:`repro.core.engine`, and
-every consistency mode or join kind is an engine class there
-(:class:`~repro.core.rollback.RollbackEngine`,
-:class:`~repro.core.policy.AdaptiveEngine`,
-:class:`~repro.core.latejoin.LateJoinEngine`, ...).  This module only
-adapts an engine to the discrete-event world: one simulator process per
-site that sleeps until the engine's next timer deadline or an incoming
-datagram, whichever is first.  The asyncio driver
-(:class:`repro.core.aio.AioSite`) is the same shell over real UDP, with the
-same contract: a driver is built from an engine.
+The Algorithm 1 orchestration itself — start phase, send/ping pumps, the
+frame loop and the linger phase — lives in :mod:`repro.core.engine`, whose
+one :class:`~repro.core.engine.SiteEngine` runs every consistency mode and
+join kind as state.  This module only adapts an engine to the
+discrete-event world: one simulator process per site that sleeps until the
+engine's next timer deadline or an incoming datagram, whichever is first.
+The asyncio driver (:class:`repro.core.aio.AioSite`) is the same shell
+over real UDP, with the same contract: a driver is built from an engine.
 """
 
 from __future__ import annotations
 
 from typing import Generator, Optional
 
-from repro.core.driver import PresentationStatus, apply_effects, feed_datagrams
-from repro.core.engine import Shutdown, SiteEngine
+from repro.core.driver import SiteDriver
+from repro.core.engine import SiteEngine
 from repro.net.simnet import SimNetwork, SimSocket
 from repro.sim.eventloop import EventLoop
 from repro.sim.process import Process, Sleep, WaitMessage, spawn
@@ -26,7 +23,7 @@ from repro.sim.process import Process, Sleep, WaitMessage, spawn
 __all__ = ["DistributedVM"]
 
 
-class DistributedVM:
+class DistributedVM(SiteDriver):
     """Runs one engine to completion on the event loop.
 
     ``start_delay`` postpones the engine's start (a site booting late, a
@@ -42,17 +39,13 @@ class DistributedVM:
         engine: SiteEngine,
         start_delay: float = 0.0,
     ) -> None:
+        super().__init__(engine)
         self.loop = loop
-        self.engine = engine
-        self.runtime = engine.runtime
         self.start_delay = start_delay
         self.socket: SimSocket = network.socket(
             self.runtime.address_of[self.runtime.site_no]
         )
-        self.finished = False
-        self.status = PresentationStatus()
         self.process: Optional[Process] = None
-        self._stop_requested = False
 
     def __getattr__(self, name: str):
         if name == "engine":  # not yet set: do not recurse
@@ -70,39 +63,17 @@ class DistributedVM:
         if self.start_delay > 0:
             yield Sleep(self.start_delay)
         engine = self.engine
-        effects = engine.start(self._now())
+        clock = self.loop.clock
+        effects = engine.start(clock.now())
         while self._apply(effects):
             deadline = engine.next_deadline()
             timeout = 0.05
             if deadline is not None:
-                timeout = max(0.0, deadline - self._now())
+                timeout = max(0.0, deadline - clock.now())
             envelope = yield WaitMessage(self.socket.mailbox, timeout=timeout)
-            if self._stop_requested and not engine.done:
-                effects = engine.handle(Shutdown(self._now()))
-                continue
             pending = [] if envelope is None else [envelope.payload]
             pending.extend(self.socket.receive_all())
-            effects = feed_datagrams(engine, pending, self._now())
+            effects = self._wake(pending, clock.now())
 
-    def _apply(self, effects) -> bool:
-        running = apply_effects(effects, self.socket.send, status=self.status)
-        if not running:
-            self.status.on_finished(self.engine.termination)
-        if self.engine.frames_complete:
-            self.finished = True
-        return running
-
-    def _now(self) -> float:
-        return self.loop.clock.now()
-
-    # ------------------------------------------------------------------
-    def stop(self) -> None:
-        """Ask the site to wind down at its next wakeup."""
-        self._stop_requested = True
-
-    def snapshot(self) -> dict:
-        """This site's telemetry registries plus liveness as one dict."""
-        snap = self.engine.snapshot()
-        snap["finished"] = self.finished
-        snap["presentation"] = self.status.as_dict()
-        return snap
+    def _send(self, payload: bytes, destination: str) -> None:
+        self.socket.send(payload, destination)

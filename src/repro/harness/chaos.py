@@ -38,9 +38,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
 from repro.core.config import SyncConfig
-from repro.core.engine import SitePeer, SiteRuntime
+from repro.core.engine import SiteEngine, SitePeer, SiteRuntime
 from repro.core.inputs import InputAssignment, PadSource, RandomSource
-from repro.core.latejoin import ResumeEngine
 from repro.core.multisite import build_session, site_address, two_player_plan
 from repro.core.vm import DistributedVM
 from repro.net.faults import FaultSchedule
@@ -242,7 +241,7 @@ def run_chaos(
     ibuf_bound = 3 * buf + 3 + (2 * interval if interval else 0)
     if mode == "rollback":
         ibuf_bound += max(
-            vm.engine.speculation_window for vm in session.vms
+            vm.engine.speculation.window for vm in session.vms
         ) + 2 * buf + 10
     #: Highest observed per-site input-buffer size (bounded-memory check),
     #: sampled every 100 ms of simulated time.
@@ -286,7 +285,7 @@ def run_chaos(
                 game_id=game,
                 session_id=plan.session_id,
             )
-            engine = ResumeEngine(
+            engine = SiteEngine(
                 runtime,
                 frames,
                 donor_site=donor,

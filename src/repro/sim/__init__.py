@@ -7,8 +7,8 @@ same (sans-IO) protocol code on a deterministic discrete-event simulator.
 
 The substrate is intentionally small:
 
-* :class:`~repro.sim.clock.Clock` — the time abstraction shared by the
-  simulated and the wall-clock drivers.
+* :class:`~repro.sim.clock.Clock` — the time abstraction protocol code
+  reads instead of the OS clock.
 * :class:`~repro.sim.eventloop.EventLoop` — a heapq-based scheduler.
 * :class:`~repro.sim.process.Process` — generator-based cooperative
   processes that ``yield`` :class:`~repro.sim.process.Sleep`,
@@ -16,7 +16,7 @@ The substrate is intentionally small:
   commands.
 """
 
-from repro.sim.clock import Clock, SimClock, WallClock
+from repro.sim.clock import Clock, SimClock
 from repro.sim.eventloop import EventLoop, SimulationError
 from repro.sim.process import (
     Envelope,
@@ -32,7 +32,6 @@ from repro.sim.process import (
 __all__ = [
     "Clock",
     "SimClock",
-    "WallClock",
     "EventLoop",
     "SimulationError",
     "Envelope",

@@ -77,9 +77,9 @@ class TestSwitchToRollback:
         the proposal — never before the acks could have arrived."""
         adaptive = adaptive_run(named_profile("wan-120", rtt=0.200), seed=11)
         for vm in adaptive.vms:
-            kinds = [entry[0] for entry in vm.engine.switch_log]
+            kinds = [entry[0] for entry in vm.engine.switcher.switch_log]
             assert kinds == ["propose", "commit"]
-            (_, proposed_at, _, _, _), (_, committed_at, _, _, _) = vm.engine.switch_log
+            (_, proposed_at, _, _, _), (_, committed_at, _, _, _) = vm.engine.switcher.switch_log
             # One full round trip (200 ms) must separate the two.
             assert committed_at - proposed_at >= 0.200
 

@@ -6,12 +6,17 @@ producing exactly the per-frame checksums of its discrete-event twin —
 merged inputs depend only on the sources and the lag, never on timing.
 """
 
-from repro.core.aio import AioSessionSpec, run_sessions, simulator_checksums
+import asyncio
+
+from repro.core.aio import AioSessionSpec, AioSite, run_sessions, simulator_checksums
 from repro.core.config import SyncConfig
+from repro.core.engine import SiteEngine, SitePeer, SiteRuntime
+from repro.core.inputs import IdleSource, InputAssignment, PadSource, RandomSource
+from repro.core.latejoin import register_late_join
 from repro.core.messages import MODE_ROLLBACK
-from repro.core.policy import AdaptiveEngine
-from repro.core.rollback import RollbackEngine
 from repro.emulator.machine import create_game
+from repro.metrics.recorder import ConsistencyChecker
+from repro.net.udp import AsyncUdpEndpoint
 
 
 def make_specs(count, frames=60):
@@ -54,7 +59,7 @@ class TestAioDriver:
 
 
 def rollback_engine(runtime, max_frames, **options):
-    return RollbackEngine(
+    return SiteEngine(
         runtime, max_frames, spec_machine=create_game(runtime.game_id), **options
     )
 
@@ -62,10 +67,11 @@ def rollback_engine(runtime, max_frames, **options):
 def adaptive_engine(runtime, max_frames, **options):
     """Rollback-born: on loopback (and the twin's 40 ms) the policy may
     settle it to lockstep, which must not move a single checksum."""
-    return AdaptiveEngine(
+    return SiteEngine(
         runtime,
         max_frames,
         spec_machine=create_game(runtime.game_id),
+        adaptive=True,
         initial_mode=MODE_ROLLBACK,
         **options,
     )
@@ -95,3 +101,54 @@ class TestEveryModeOnAsyncio:
         for runtime in assert_matches_simulator(adaptive_engine):
             # Born in rollback mode: it speculated before any settle.
             assert runtime.rollback_stats.speculative_frames > 0
+
+
+async def late_join_over_loopback(frames, join_after):
+    """Two players on loopback UDP; an observer (site 2) joins from site
+    0's savestate on its own AioSite once ``join_after`` seconds passed."""
+    config = SyncConfig(cfps=120, buf_frame=6)
+    assignment = InputAssignment.with_observers(2, 1)
+    sources = [PadSource(RandomSource(40 + s), s) for s in (0, 1)] + [IdleSource()]
+    endpoints = [await AsyncUdpEndpoint.open() for _ in range(3)]
+    peers = [SitePeer(s, endpoints[s].address) for s in range(3)]
+    sites = []
+    for s in range(3):
+        runtime = SiteRuntime(
+            config=config,
+            site_no=s,
+            assignment=assignment,
+            machine=create_game("counter"),
+            source=sources[s],
+            peers=peers,
+            game_id="counter",
+            handshake_sites=[0, 1],
+        )
+        donor = 0 if s == 2 else None
+        engine = SiteEngine(runtime, frames, linger=0.5, donor_site=donor)
+        sites.append(AioSite(engine, endpoints[s]))
+    players, joiner = sites[:2], sites[2]
+    register_late_join(players, players[0], joiner_site=2)
+
+    async def join_late():
+        await asyncio.sleep(join_after)
+        await joiner.run()
+
+    try:
+        await asyncio.gather(*(site.run() for site in players), join_late())
+    finally:
+        for endpoint in endpoints:
+            endpoint.close()
+    return sites
+
+
+class TestLateJoinOnAsyncio:
+    def test_observer_joins_a_running_session(self):
+        frames = 240
+        sites = asyncio.run(late_join_over_loopback(frames, join_after=0.5))
+        joiner = sites[2]
+        assert joiner.engine.joined_at_frame is not None
+        overlap = ConsistencyChecker().verify_traces(
+            [site.runtime.trace for site in sites]
+        )
+        assert overlap == frames - joiner.engine.joined_at_frame
+

@@ -230,7 +230,7 @@ class TestPartitionDuringSwitch:
     def test_switch_aborts_then_completes_after_heal(self):
         session, _ = self.run_partitioned_switch()
         for vm in session.vms:
-            kinds = [entry[0] for entry in vm.engine.switch_log]
+            kinds = [entry[0] for entry in vm.engine.switcher.switch_log]
             # At least one proposal died in the partition, and the engine
             # stayed in its old mode rather than half-switching...
             assert "abort" in kinds

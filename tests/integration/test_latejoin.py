@@ -1,10 +1,11 @@
 """Integration: late joiners via savestate transfer (journal extension)."""
 
+import pytest
 
 from repro.core.config import SyncConfig
 from repro.core.inputs import IdleSource, InputAssignment, PadSource, RandomSource
-from repro.core.engine import SitePeer, SiteRuntime
-from repro.core.latejoin import LateJoinEngine, register_late_join
+from repro.core.engine import SiteEngine, SitePeer, SiteRuntime
+from repro.core.latejoin import register_late_join
 from repro.core.multisite import (
     SessionPlan,
     build_session,
@@ -73,7 +74,7 @@ def build_latejoin_session(
         peers=[SitePeer(s, site_address(s)) for s in range(total)],
         game_id=game,
     )
-    engine = LateJoinEngine(
+    engine = SiteEngine(
         joiner_runtime,
         frames,
         donor_site=0,
@@ -182,3 +183,23 @@ class TestLateJoinRobustness:
         cached = donor.engine.snapshot_cache.get(2)
         assert cached is not None
         assert joiner.engine.joined_at_frame == cached.frame + 1
+
+
+class TestSilentDonor:
+    def test_joiner_times_out_like_a_handshake(self):
+        session, joiner = build_latejoin_session(join_time=2.0)
+        # The donor never answers: its STATE_REQUEST handling is off.
+        session.vms[0].runtime.allow_state_requests = False
+        for vm in session.vms:
+            vm.start()
+        session.loop.run(until=60.0)
+        assert joiner.process.finished
+        joiner.process.result()  # the site exited without an exception
+        assert joiner.engine.termination == "handshake-timeout"
+        assert joiner.engine.joined_at_frame is None
+        assert not joiner.finished
+        errors = [r for r in joiner.runtime.events if r.kind == "error"]
+        assert errors[-1].detail["error"] == "acquire timeout"
+        timeout = SyncConfig.paper_defaults().handshake_timeout_s
+        assert errors[-1].time == pytest.approx(2.0 + timeout, abs=0.2)
+

@@ -17,6 +17,8 @@ Covered here (and nowhere else at this level):
 
 import heapq
 
+import pytest
+
 from repro.core.config import SyncConfig
 from repro.core.engine import (
     DatagramReceived,
@@ -31,6 +33,7 @@ from repro.core.engine import (
 )
 from repro.core.inputs import IdleSource, InputAssignment, PadSource, RandomSource
 from repro.core.messages import (
+    MODE_LOCKSTEP,
     Hello,
     Ping,
     Start,
@@ -209,6 +212,32 @@ class TestEngineSession:
         for present in mesh.presents("site1"):
             if present.frame >= lag:
                 assert present.merged_input & 0x01
+
+
+class TestEngineConfiguration:
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"adaptive": True},
+            {"spec_machine": "counter", "initial_mode": MODE_LOCKSTEP},
+            {"spec_machine": "counter", "donor_site": 1},
+            {"last_acked_frame": 10},
+        ],
+        ids=["adaptive-without-spec", "pinned-spec-lockstep", "speculating-joiner",
+             "resume-without-donor"],
+    )
+    def test_unrunnable_combinations_are_rejected(self, options):
+        runtime = build_engines(frames=10)[0].runtime
+        if "spec_machine" in options:
+            options = dict(options, spec_machine=create_game(options["spec_machine"]))
+        with pytest.raises(ValueError):
+            SiteEngine(runtime, 10, **options)
+
+    def test_lockstep_engine_allocates_no_speculation_state(self):
+        engine = build_engines(frames=10)[0]
+        assert engine.speculation is None and engine.switcher is None
+        assert engine.spec_machine is None and engine.rollback_stats is None
+        assert not hasattr(engine.runtime, "rollback_stats")
 
 
 class TestSessionControlThroughEngine:

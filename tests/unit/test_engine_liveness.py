@@ -7,9 +7,14 @@ the capped-exponential backoff replacing the 20 ms pump while suspended,
 the resume-deadline giving ``peer-lost``, and the handshake timeout.
 """
 
+import re
+from pathlib import Path
+
+import repro
 from repro.core.config import SyncConfig
 from repro.core.engine import (
     PHASE_SUSPENDED,
+    TERMINATIONS,
     Degraded,
     PeerLost,
     Resumed,
@@ -187,6 +192,16 @@ class TestHandshakeTimeout:
         mesh.start()
         mesh.run(horizon=2.0)
         assert engines[1].termination == "handshake-timeout"
+
+
+class TestTerminationReasons:
+    def test_every_terminate_reason_is_in_the_closed_set(self):
+        reasons = set()
+        for path in Path(repro.__file__).parent.rglob("*.py"):
+            reasons.update(
+                re.findall(r'_terminate\(\s*"([^"]+)"', path.read_text())
+            )
+        assert reasons == TERMINATIONS
 
 
 class TestResumeAuthentication:
