@@ -212,7 +212,8 @@ class RandomSource(InputSource):
         self._seed = seed
         self._toggle_p = toggle_p
         self._mask = mask
-        self._cache: Dict[int, int] = {}
+        # _states[f] is the pad word at frame f; always frames 0..len-1.
+        self._states: List[int] = []
 
     def _toggles(self, frame: int) -> int:
         rng = random.Random((self._seed << 20) ^ frame)
@@ -225,15 +226,14 @@ class RandomSource(InputSource):
     def get(self, frame: int) -> int:
         if frame < 0:
             return 0
-        if frame in self._cache:
-            return self._cache[frame]
-        # Compute forward from the nearest cached ancestor (or 0).
-        known = max((f for f in self._cache if f < frame), default=-1)
-        state = self._cache.get(known, 0)
-        for f in range(known + 1, frame + 1):
-            state ^= self._toggles(f)
-            self._cache[f] = state
-        return state
+        states = self._states
+        if frame >= len(states):
+            # Extend only the missing suffix, from the last known state.
+            state = states[-1] if states else 0
+            for f in range(len(states), frame + 1):
+                state ^= self._toggles(f)
+                states.append(state)
+        return states[frame]
 
 
 class TapSource(InputSource):

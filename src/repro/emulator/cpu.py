@@ -14,29 +14,27 @@ for vertical blank) or exhausts the per-frame cycle budget, whichever comes
 first.  ``HALT`` stops the program permanently (the machine keeps stepping,
 frozen).
 
-Three interpreters execute the same ISA (see docs/performance.md):
+Two interpreters execute the same ISA (see docs/performance.md):
 
 * :meth:`Cpu.run_frame_blocks` — the block-translation path: straight-line
   runs are traced once, compiled to a single Python closure (fused operand
   decode, registers and flags held in locals, superinstruction peepholes
   for the hot pairs), guarded against self-modifying code by the memory
   bus's dirty-page generations, and chained through a dict keyed by entry
-  pc, so hot loops execute with zero per-instruction dispatch,
-* :meth:`Cpu.run_frame` — the fast path: a 256-entry dispatch table of
-  handlers, a decoded-instruction cache keyed by ``(pc, word)``, and
-  fetches inlined against plain-RAM pages,
+  pc, so hot loops execute with zero per-instruction dispatch; whatever
+  it does not compile it single-steps with :meth:`Cpu.step_instruction`,
 * :meth:`Cpu.run_frame_reference` / :meth:`Cpu.step_instruction` — the
   straight-line reference interpreter retained verbatim from the original
   implementation.
 
 The determinism contract — enforced by the golden-trace tests — is that
-all paths produce bit-identical machine states for any program.
+both paths produce bit-identical machine states for any program.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.emulator.machine import MachineError
 from repro.emulator.memory import Memory
@@ -107,242 +105,6 @@ class CpuFault(MachineError):
 
 
 # ----------------------------------------------------------------------
-# The fast interpreter's dispatch table.
-#
-# ``DISPATCH[opcode]`` is a factory that, given the decoded register
-# fields, returns a specialized handler closure ``fn(cpu, imm, next_pc)``.
-# The closure returns ``None`` to fall through to ``next_pc``, a new PC for
-# taken jumps/calls/returns, or ``-1`` to end the frame (YIELD/HALT).
-# Closures are built once per distinct ``(pc, instruction word)`` and kept
-# in the per-CPU decoded-instruction cache, so straight-line code pays no
-# per-step decode cost.  Flag updates are inlined (``value >= 0x8000`` ≡
-# ``bool(value & 0x8000)`` for 16-bit values).
-# ----------------------------------------------------------------------
-
-def _make_nop(ra, rb):
-    def op(cpu, imm, pc):
-        return None
-    return op
-
-
-def _make_halt(ra, rb):
-    def op(cpu, imm, pc):
-        cpu.halted = True
-        return -1
-    return op
-
-
-def _make_yield(ra, rb):
-    def op(cpu, imm, pc):
-        cpu._yielded = True
-        return -1
-    return op
-
-
-def _make_ldi(ra, rb):
-    def op(cpu, imm, pc):
-        cpu.regs[ra] = imm
-    return op
-
-
-def _make_mov(ra, rb):
-    def op(cpu, imm, pc):
-        regs = cpu.regs
-        regs[ra] = regs[rb]
-    return op
-
-
-def _make_ld(ra, rb):
-    def op(cpu, imm, pc):
-        regs = cpu.regs
-        memory = cpu.memory
-        address = (regs[rb] + imm) & 0xFFFF
-        if memory._plain_word[address]:
-            data = memory._data
-            regs[ra] = data[address] | (data[address + 1] << 8)
-        else:
-            regs[ra] = memory.read_word(address)
-    return op
-
-
-def _make_st(ra, rb):
-    def op(cpu, imm, pc):
-        regs = cpu.regs
-        cpu.memory.write_word((regs[rb] + imm) & 0xFFFF, regs[ra])
-    return op
-
-
-def _make_ldb(ra, rb):
-    def op(cpu, imm, pc):
-        regs = cpu.regs
-        regs[ra] = cpu.memory.read_byte((regs[rb] + imm) & 0xFFFF)
-    return op
-
-
-def _make_stb(ra, rb):
-    def op(cpu, imm, pc):
-        regs = cpu.regs
-        cpu.memory.write_byte((regs[rb] + imm) & 0xFFFF, regs[ra])
-    return op
-
-
-def _make_binary_alu(combine):
-    def make(ra, rb):
-        def op(cpu, imm, pc):
-            regs = cpu.regs
-            value = combine(regs[ra], regs[rb])
-            regs[ra] = value
-            cpu.z = value == 0
-            cpu.n = value >= 0x8000
-        return op
-    return make
-
-
-_make_add = _make_binary_alu(lambda a, b: (a + b) & 0xFFFF)
-_make_sub = _make_binary_alu(lambda a, b: (a - b) & 0xFFFF)
-_make_and = _make_binary_alu(lambda a, b: a & b)
-_make_or = _make_binary_alu(lambda a, b: a | b)
-_make_xor = _make_binary_alu(lambda a, b: (a ^ b))
-_make_shl = _make_binary_alu(lambda a, b: (a << (b & 0x0F)) & 0xFFFF)
-_make_shr = _make_binary_alu(lambda a, b: (a >> (b & 0x0F)) & 0xFFFF)
-_make_mul = _make_binary_alu(lambda a, b: (a * b) & 0xFFFF)
-
-
-def _make_addi(ra, rb):
-    def op(cpu, imm, pc):
-        regs = cpu.regs
-        value = (regs[ra] + imm) & 0xFFFF
-        regs[ra] = value
-        cpu.z = value == 0
-        cpu.n = value >= 0x8000
-    return op
-
-
-def _make_cmp(ra, rb):
-    def op(cpu, imm, pc):
-        regs = cpu.regs
-        value = (regs[ra] - regs[rb]) & 0xFFFF
-        cpu.z = value == 0
-        cpu.n = value >= 0x8000
-    return op
-
-
-def _make_cmpi(ra, rb):
-    def op(cpu, imm, pc):
-        value = (cpu.regs[ra] - imm) & 0xFFFF
-        cpu.z = value == 0
-        cpu.n = value >= 0x8000
-    return op
-
-
-def _make_jmp(ra, rb):
-    def op(cpu, imm, pc):
-        return imm
-    return op
-
-
-def _make_jz(ra, rb):
-    def op(cpu, imm, pc):
-        return imm if cpu.z else None
-    return op
-
-
-def _make_jnz(ra, rb):
-    def op(cpu, imm, pc):
-        return None if cpu.z else imm
-    return op
-
-
-def _make_jlt(ra, rb):
-    def op(cpu, imm, pc):
-        return imm if cpu.n else None
-    return op
-
-
-def _make_jge(ra, rb):
-    def op(cpu, imm, pc):
-        return None if cpu.n else imm
-    return op
-
-
-def _make_jle(ra, rb):
-    def op(cpu, imm, pc):
-        return imm if (cpu.z or cpu.n) else None
-    return op
-
-
-def _make_jgt(ra, rb):
-    def op(cpu, imm, pc):
-        return None if (cpu.z or cpu.n) else imm
-    return op
-
-
-def _make_call(ra, rb):
-    def op(cpu, imm, pc):
-        cpu._push(pc)
-        return imm
-    return op
-
-
-def _make_ret(ra, rb):
-    def op(cpu, imm, pc):
-        return cpu._pop()
-    return op
-
-
-def _make_push(ra, rb):
-    def op(cpu, imm, pc):
-        cpu._push(cpu.regs[ra])
-    return op
-
-
-def _make_pop(ra, rb):
-    def op(cpu, imm, pc):
-        cpu.regs[ra] = cpu._pop()
-    return op
-
-
-def _build_dispatch():
-    """256-entry opcode → handler-factory table (None marks illegal)."""
-    table = [None] * 256
-    table[NOP] = _make_nop
-    table[HALT] = _make_halt
-    table[YIELD] = _make_yield
-    table[LDI] = _make_ldi
-    table[MOV] = _make_mov
-    table[LD] = _make_ld
-    table[ST] = _make_st
-    table[LDB] = _make_ldb
-    table[STB] = _make_stb
-    table[ADD] = _make_add
-    table[SUB] = _make_sub
-    table[AND] = _make_and
-    table[OR] = _make_or
-    table[XOR] = _make_xor
-    table[SHL] = _make_shl
-    table[SHR] = _make_shr
-    table[MUL] = _make_mul
-    table[ADDI] = _make_addi
-    table[CMP] = _make_cmp
-    table[CMPI] = _make_cmpi
-    table[JMP] = _make_jmp
-    table[JZ] = _make_jz
-    table[JNZ] = _make_jnz
-    table[JLT] = _make_jlt
-    table[JGE] = _make_jge
-    table[CALL] = _make_call
-    table[RET] = _make_ret
-    table[JLE] = _make_jle
-    table[JGT] = _make_jgt
-    table[PUSH] = _make_push
-    table[POP] = _make_pop
-    return table
-
-
-DISPATCH = _build_dispatch()
-
-
-# ----------------------------------------------------------------------
 # Basic-block translation (see docs/performance.md, "Block translation").
 #
 # A *block* is an extended straight-line run of instructions starting at
@@ -382,10 +144,12 @@ DISPATCH = _build_dispatch()
 # the dispatch loop revalidates on mismatch by comparing the code bytes
 # (cheap, and immune to false invalidation from data colocated on a code
 # page).  A store *inside* a block that hits the block's own byte range
-# exits the block early with the architectural state exact.  Fetches from
-# MMIO-hooked pages are never compiled — the table interpreter handles
-# them — and hook-layout changes flush the whole cache via the bus's
-# hooks epoch.
+# exits the block early with the architectural state exact.  A byte whose
+# value changes twice is *volatile*: later traces stop before it, so a
+# word patched over and over is single-stepped while the code around it
+# stays compiled.  Fetches from MMIO-hooked pages are never compiled —
+# they are single-stepped too — and hook-layout changes flush the whole
+# cache via the bus's hooks epoch.
 # ----------------------------------------------------------------------
 
 _MAX_BLOCK_INSTRS = 256
@@ -395,8 +159,9 @@ _MAX_BLOCK_INSTRS = 256
 #: longer guard chain taxes every dispatch.
 _MAX_BLOCK_PAGES = 2
 #: After this many invalidations at one entry pc the pc is blacklisted to
-#: the table interpreter — a pathological self-patching loop must not pay
-#: a recompile per execution.
+#: single-stepping — the backstop for churn the volatile-byte rule misses:
+#: a pathological self-patching loop must not pay a recompile per
+#: execution.
 _BLOCK_INVAL_LIMIT = 32
 
 _COND_EXPR = {
@@ -965,11 +730,6 @@ class Cpu:
         self.n = False
         self.halted = False
         self.cycles = 0
-        # Decoded-instruction cache: (pc << 16 | word) →
-        # (handler, ra, rb, has_immediate).  Decoding is a pure function of
-        # the word, so entries never go stale — self-modifying code changes
-        # the word and therefore the key.
-        self._decoded: Dict[int, tuple] = {}
         # Block-translation cache: entry pc → flat dispatch entry (see
         # _E_* layout), guarded by the dirty generations of the pages each
         # block spans (see run_frame_blocks).
@@ -978,6 +738,10 @@ class Cpu:
         # the pc's page generation is unchanged.
         self._no_block: Dict[int, int] = {}
         self._inval_counts: Dict[int, int] = {}
+        # Self-modifying code: address → (last value seen, changes seen),
+        # and the addresses changed twice, which no block may span.
+        self._code_changes: Dict[int, Tuple[int, int]] = {}
+        self._volatile: Set[int] = set()
         self._hooks_epoch_seen = -1
         # Telemetry (monotonic; mirrored into repro.obs and bench JSON).
         self.blocks_compiled = 0
@@ -1019,82 +783,19 @@ class Cpu:
         return value
 
     # ------------------------------------------------------------------
-    def run_frame(self, max_cycles: int) -> int:
-        """Execute until YIELD/HALT or the cycle budget; returns cycles used.
-
-        The fixed budget keeps every frame's work deterministic even for a
-        buggy ROM that never yields — matching how a real console's frame is
-        bounded by the vblank interrupt.
-
-        This is the table-dispatched fast path; it is bit-for-bit equivalent
-        to :meth:`run_frame_reference`.
-        """
-        self._yielded = False
-        if self.halted:
-            return 0
-        used = 0
-        memory = self.memory
-        data = memory._data
-        plain_word = memory._plain_word
-        read_word = memory.read_word
-        decoded = self._decoded
-        dispatch = DISPATCH
-        pc = self.pc
-        try:
-            while used < max_cycles:
-                if plain_word[pc]:
-                    word = data[pc] | (data[pc + 1] << 8)
-                else:
-                    word = read_word(pc)
-                key = (pc << 16) | word
-                entry = decoded.get(key)
-                if entry is None:
-                    opcode = word >> 8
-                    factory = dispatch[opcode]
-                    if factory is None:
-                        pc = (pc + 2) & 0xFFFF
-                        raise CpuFault(
-                            f"illegal opcode 0x{opcode:02x} at pc=0x{(pc - 2) & 0xFFFF:04x}"
-                        )
-                    entry = (
-                        factory((word >> 4) & 0x0F, word & 0x0F),
-                        opcode in HAS_IMMEDIATE,
-                    )
-                    decoded[key] = entry
-                fn, has_imm = entry
-                if has_imm:
-                    pc2 = (pc + 2) & 0xFFFF
-                    if plain_word[pc2]:
-                        imm = data[pc2] | (data[pc2 + 1] << 8)
-                    else:
-                        imm = read_word(pc2)
-                    pc = (pc2 + 2) & 0xFFFF
-                    used += 2
-                else:
-                    imm = 0
-                    pc = (pc + 2) & 0xFFFF
-                    used += 1
-                res = fn(self, imm, pc)
-                if res is not None:
-                    if res == -1:
-                        break
-                    pc = res
-        finally:
-            self.pc = pc
-        self.cycles += used
-        return used
-
-    # ------------------------------------------------------------------
     # Block translation.
     # ------------------------------------------------------------------
     def _trace_block(self, start: int):
         """Decode an extended straight-line run starting at ``start``.
 
         Returns ``(instrs, terminator)`` or None when nothing compilable
-        begins there (hooked/wrapping fetch, immediate illegal opcode).
-        Tracing stops *before* an illegal opcode so the table interpreter
-        faults with the exact pc, and at the span limit so a block's
-        guard never covers more than ``_MAX_BLOCK_PAGES`` dirty pages.
+        begins there (hooked/wrapping fetch, immediate illegal opcode,
+        volatile code).  Tracing stops *before* an illegal opcode so the
+        reference step faults with the exact pc, before any volatile byte
+        (see :meth:`_revalidate_block`) so a word patched over and over
+        is single-stepped instead of recompiled, and at the span limit so
+        a block's guard never covers more than ``_MAX_BLOCK_PAGES`` dirty
+        pages.
 
         Forward JMPs and non-self conditional jumps do not stop the
         trace: a forward JMP continues at its target (the gap stays in
@@ -1104,11 +805,12 @@ class Cpu:
         memory = self.memory
         data = memory._data
         plain_word = memory._plain_word
-        dispatch = DISPATCH
+        volatile = self._volatile
         span_end = min((((start >> 8) + _MAX_BLOCK_PAGES) << 8), 0x10000)
         instrs: List[_Instr] = []
         terminator = None
         cur = start
+        covered = start  # the block's byte range so far, gaps included
         while len(instrs) < _MAX_BLOCK_INSTRS:
             if cur >= span_end:
                 break  # fall through into the next span's block
@@ -1116,7 +818,7 @@ class Cpu:
                 break  # hooked (or wrapping) fetch: interpreter territory
             word = data[cur] | (data[cur + 1] << 8)
             opcode = word >> 8
-            if dispatch[opcode] is None:
+            if opcode not in MNEMONICS:
                 break
             if opcode in HAS_IMMEDIATE:
                 ipc = cur + 2
@@ -1131,6 +833,9 @@ class Cpu:
                 cost = 1
             if end_raw > span_end:
                 break  # would drag the guard past the span limit
+            if volatile and not volatile.isdisjoint(range(covered, end_raw)):
+                break  # patched more than once: leave it to single-stepping
+            covered = end_raw
             nxt = end_raw & 0xFFFF
             instrs.append(
                 (cur, opcode, (word >> 4) & 0x0F, word & 0x0F, imm, cost, nxt)
@@ -1158,6 +863,8 @@ class Cpu:
             return None
         if self._inval_counts.get(start, 0) >= _BLOCK_INVAL_LIMIT:
             return None  # blacklisted: persistent self-patcher
+        if start in self._volatile or start + 1 in self._volatile:
+            return None  # a volatile word: skip the trace, it would stop here
         traced = self._trace_block(start)
         if traced is None:
             self._no_block[start] = page_gen[start >> 8]
@@ -1206,67 +913,38 @@ class Cpu:
 
     def _revalidate_block(self, entry: list) -> Optional[list]:
         """A guarded page was written: keep the block iff its bytes are
-        intact (data colocated on a code page is the common cause)."""
+        intact (data colocated on a code page is the common cause).
+
+        On a true change each differing byte counts one change — once per
+        new value, however many blocks span it — and a byte changed twice
+        becomes volatile: no block traced from then on spans it.
+        """
         memory = self.memory
         block = entry[_E_BLOCK]
-        if (
-            all(memory._plain[p] for p in block.pages)
-            and memory._data[block.start : block.end] == block.code
-        ):
-            page_gen = memory._page_gen
-            if any(page_gen[p] >= memory._gen for p in block.pages):
-                memory._gen += 1
-            for k, p in enumerate(block.pages):
-                entry[_E_GUARDS + 2 * k + 1] = page_gen[p]
-            self.block_revalidations += 1
-            return entry
+        if all(memory._plain[p] for p in block.pages):
+            code = memory._data[block.start : block.end]
+            if code == block.code:
+                page_gen = memory._page_gen
+                if any(page_gen[p] >= memory._gen for p in block.pages):
+                    memory._gen += 1
+                for k, p in enumerate(block.pages):
+                    entry[_E_GUARDS + 2 * k + 1] = page_gen[p]
+                self.block_revalidations += 1
+                return entry
+            changes = self._code_changes
+            for address, old, new in zip(
+                range(block.start, block.end), block.code, code
+            ):
+                if old != new:
+                    seen, count = changes.get(address, (old, 0))
+                    if seen != new:
+                        changes[address] = (new, count + 1)
+                        if count:
+                            self._volatile.add(address)
         del self._blocks[block.start]
         self.block_invalidations += 1
         self._inval_counts[block.start] = self._inval_counts.get(block.start, 0) + 1
         return None
-
-    def _step_table(self) -> int:
-        """One instruction through the dispatch table (block-mode fallback
-        for hooked fetches, blacklisted pcs, and budget tails)."""
-        memory = self.memory
-        data = memory._data
-        plain_word = memory._plain_word
-        pc = self.pc
-        if plain_word[pc]:
-            word = data[pc] | (data[pc + 1] << 8)
-        else:
-            word = memory.read_word(pc)
-        key = (pc << 16) | word
-        entry = self._decoded.get(key)
-        if entry is None:
-            opcode = word >> 8
-            factory = DISPATCH[opcode]
-            if factory is None:
-                self.pc = (pc + 2) & 0xFFFF
-                raise CpuFault(f"illegal opcode 0x{opcode:02x} at pc=0x{pc:04x}")
-            entry = (
-                factory((word >> 4) & 0x0F, word & 0x0F),
-                opcode in HAS_IMMEDIATE,
-            )
-            self._decoded[key] = entry
-        fn, has_imm = entry
-        if has_imm:
-            pc2 = (pc + 2) & 0xFFFF
-            if plain_word[pc2]:
-                imm = data[pc2] | (data[pc2 + 1] << 8)
-            else:
-                imm = memory.read_word(pc2)
-            pc = (pc2 + 2) & 0xFFFF
-            cost = 2
-        else:
-            imm = 0
-            pc = (pc + 2) & 0xFFFF
-            cost = 1
-        res = fn(self, imm, pc)
-        if res is not None and res != -1:
-            pc = res
-        self.pc = pc
-        return cost
 
     def run_frame_blocks(self, max_cycles: int) -> int:
         """Execute until YIELD/HALT or the cycle budget via compiled blocks.
@@ -1324,7 +1002,7 @@ class Cpu:
                     continue
                 self.pc = pc
                 try:
-                    used += self._step_table()
+                    used += self.step_instruction()
                 finally:
                     pc = self.pc
                 fallback += 1

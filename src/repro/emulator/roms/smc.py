@@ -7,10 +7,12 @@ instruction runs in the same frame.  Legacy arcade code does this kind of
 thing routinely (dispatch patching, unrolled-loop stamping), so the block
 translator must cope: the store lands inside a compiled block's range,
 forcing an early exit, a dirty-generation guard miss, and a true
-invalidation (the bytes really changed) on the next dispatch.
+invalidation (the bytes really changed) on the next dispatch.  Once the
+patched word has changed twice no block spans it any more: it is
+single-stepped every frame while the code around it stays compiled.
 
 The ROM is registered as a normal game, so the whole Machine contract —
-determinism, savestate roundtrips, golden three-way interpreter parity —
+determinism, savestate roundtrips, golden block-vs-reference parity —
 is enforced on it by the standard property and integration suites, while
 ``tests/unit/test_block_translation.py`` asserts the cache-management
 counters directly.

@@ -142,7 +142,7 @@ def measure_game_fps(
 
     Each sample steps a *fresh* machine (so long-running games cannot hit
     a game-over fast path and flatter the number).  ``interpreter``
-    forces the console interpreter ("fast"/"reference") when the game
+    forces the console interpreter ("block"/"reference") when the game
     supports it.
     """
 
@@ -207,6 +207,21 @@ def check_block_fps(block_fps: Dict[str, float]) -> List[str]:
                 f"{BLOCK_FPS_TOLERANCE:.2f}x baseline {baseline:.0f}"
             )
     return problems
+
+
+def check_block_over_reference(
+    block_fps: Dict[str, float], reference_fps: Dict[str, float]
+) -> List[str]:
+    """The same-run gate: smc block fps ≥ smc reference fps (empty list =
+    pass).  smc patches an executed instruction every frame, so it is the
+    one ROM whose block loop single-steps part of every frame; comparing
+    against reference fps from the same run lets host drift cancel out."""
+    block, reference = block_fps.get("smc"), reference_fps.get("smc")
+    if block is None or reference is None:
+        return ["smc: no block/reference fps measurement"]
+    if block < reference:
+        return [f"smc: block fps {block:.0f} < reference fps {reference:.0f}"]
+    return []
 
 
 def measure_snapshot_costs(machine: Machine, repeats: int = 5) -> Dict[str, float]:

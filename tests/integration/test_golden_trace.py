@@ -1,12 +1,12 @@
 """Golden-trace determinism: the fast paths change nothing observable.
 
-The determinism contract behind every optimization in this repo (dispatch
-tables, block translation, page-routed MMIO, incremental checksums) is
+The determinism contract behind every optimization in this repo (block
+translation, page-routed MMIO, incremental checksums) is
 that a machine's *observable state sequence* — ``save_state()`` and
 ``checksum()`` — is bit-identical to what the unoptimized execution
 produces.  For the RC-16 consoles the retained reference interpreter is
-the golden producer and BOTH fast paths (the table interpreter and the
-block-translation layer) are compared against it; for pure-Python games
+the golden producer and the block-translation layer is compared against
+it; for pure-Python games
 two independently constructed instances must agree (catching any
 shared-mutable-state or caching bug).
 
@@ -22,7 +22,7 @@ from repro.emulator.machine import create_game
 FRAMES = 1000
 COMPARE_EVERY = 100
 
-#: (game, whether the game is an RC-16 console with multiple interpreters).
+#: (game, whether the game is an RC-16 console with two interpreters).
 GAMES = [
     ("pong", True),
     ("tankduel", True),
@@ -39,22 +39,20 @@ def input_schedule(frame: int) -> int:
     return (frame * 2654435761) & 0xFFFF
 
 
-def make_trio(name: str, is_console: bool):
+def make_pair(name: str, is_console: bool):
     """The golden machine plus every follower it must stay identical to."""
     if is_console:
         golden = create_game(name)
         golden.interpreter = "reference"
-        fast = create_game(name)
-        fast.interpreter = "fast"
         block = create_game(name)
         assert block.interpreter == "block"  # the default path
-        return golden, [("fast", fast), ("block", block)]
+        return golden, [("block", block)]
     return create_game(name), [("twin", create_game(name))]
 
 
 @pytest.mark.parametrize("name,is_console", GAMES)
 def test_golden_trace(name, is_console):
-    golden, followers = make_trio(name, is_console)
+    golden, followers = make_pair(name, is_console)
     for frame in range(FRAMES):
         word = input_schedule(frame)
         golden.step(word)
@@ -73,17 +71,17 @@ def test_golden_trace(name, is_console):
 
 
 @pytest.mark.parametrize("name", ["pong", "tankduel", "smc"])
-@pytest.mark.parametrize("interpreter", ["fast", "block"])
+@pytest.mark.parametrize("interpreter", ["block"])  # the one fast path
 def test_fast_interpreters_survive_save_load_roundtrip(name, interpreter):
-    """Mid-run save/load on the optimized paths matches the reference trace."""
+    """Mid-run save/load on the block path matches the reference trace."""
     golden = create_game(name)
     golden.interpreter = "reference"
-    fast = create_game(name)
-    fast.interpreter = interpreter
+    machine = create_game(name)
+    machine.interpreter = interpreter
     for frame in range(300):
         word = input_schedule(frame)
         golden.step(word)
-        fast.step(word)
+        machine.step(word)
         if frame == 150:
-            fast.load_state(fast.save_state())
-    assert golden.save_state() == fast.save_state()
+            machine.load_state(machine.save_state())
+    assert golden.save_state() == machine.save_state()

@@ -20,6 +20,7 @@ from repro.metrics.bench import (
     SEED_BASELINE,
     bench_filename,
     check_block_fps,
+    check_block_over_reference,
     load_bench_history,
     measure_block_stats,
     measure_game_fps,
@@ -81,6 +82,14 @@ def test_check_block_fps_gate():
     assert check_block_fps({}) != []  # missing measurements also fail
 
 
+def test_check_block_over_reference_gate():
+    assert check_block_over_reference({"smc": 2.0}, {"smc": 1.0}) == []
+    assert check_block_over_reference({"smc": 2.0}, {"smc": 2.0}) == []
+    problems = check_block_over_reference({"smc": 1.0}, {"smc": 2.0})
+    assert len(problems) == 1 and "smc" in problems[0]
+    assert check_block_over_reference({}, {}) != []  # missing also fails
+
+
 def test_measure_snapshot_costs_console_reports_delta():
     costs = measure_snapshot_costs(create_game("pong"), repeats=1)
     for key in ("save_us", "load_us", "checksum_cold_us", "checksum_warm_us"):
@@ -129,8 +138,7 @@ def test_run_bench_quick_cli(tmp_path):
     results = history[0]["results"]
     assert results["quick"] is True
     assert set(results["reference_fps"]) == {"pong", "tankduel", "smc"}
-    assert set(results["block_fps"]) == set(results["fast_fps"]) == {
-        "pong", "tankduel", "smc",
-    }
+    assert set(results["block_fps"]) == {"pong", "tankduel", "smc"}
+    assert "fast_fps" not in results
     assert results["block_stats"]["pong"]["blocks_compiled"] > 0
     assert results["rollback_session"]["snapshot_syncs"] >= 0

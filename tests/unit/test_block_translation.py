@@ -2,14 +2,16 @@
 
 The golden-trace integration tests already prove whole-game parity; these
 tests pin down the cache *mechanics* — invalidation on real byte changes,
-cheap revalidation on false-positive guard misses, the pathological-SMC
-blacklist, and the MMIO hooks-epoch flush — plus the fault/budget edge
-cases that the table-interpreter suite pins for ``run_frame``.
+cheap revalidation on false-positive guard misses, single-stepping of
+code patched over and over, and the MMIO hooks-epoch flush — plus the
+fault/budget edge cases where the block loop must match the reference
+interpreter to the cycle.
 """
 
 import pytest
 
 from repro.emulator.assembler import assemble
+from repro.emulator.console import Console
 from repro.emulator.cpu import Cpu, CpuFault
 from repro.emulator.machine import create_game
 from repro.emulator.memory import Memory
@@ -40,14 +42,15 @@ class TestBlockParity:
     """Edge cases the whole-game traces may not hit every run."""
 
     def test_illegal_opcode_fault_matches_reference(self):
-        memory = Memory()
-        memory.write_word(0x0100, 0xEE00)
-        cpu = Cpu(memory)
-        cpu.reset(0x0100)
-        with pytest.raises(CpuFault) as excinfo:
-            cpu.run_frame_blocks(10)
-        assert "illegal opcode 0xee at pc=0x0100" in str(excinfo.value)
-        assert cpu.pc == 0x0102  # fault leaves pc past the bad word
+        for runner in (Cpu.run_frame_blocks, Cpu.run_frame_reference):
+            memory = Memory()
+            memory.write_word(0x0100, 0xEE00)
+            cpu = Cpu(memory)
+            cpu.reset(0x0100)
+            with pytest.raises(CpuFault) as excinfo:
+                runner(cpu, 10)
+            assert "illegal opcode 0xee at pc=0x0100" in str(excinfo.value)
+            assert cpu.pc == 0x0102  # fault leaves pc past the bad word
 
     def test_budget_and_yield_accounting_match(self):
         source = "LDI r0, 7\nYIELD\nLDI r0, 8\nHALT"
@@ -143,13 +146,14 @@ class TestCacheManagement:
 
     def test_smc_rom_invalidates_and_matches_reference(self):
         """The smc ROM patches an executed instruction every frame: stale
-        closures must be discarded (true invalidations, then the blacklist
-        falls back to table stepping) while state stays bit-identical."""
+        closures must be discarded (true invalidations, then the patched
+        word is single-stepped) while state stays bit-identical."""
+        frames = 200
         golden = create_game("smc")
         golden.interpreter = "reference"
         block = create_game("smc")
         assert block.interpreter == "block"
-        for frame in range(200):
+        for frame in range(frames):
             word = (frame * 0x9E37) & 0xFFFF
             golden.step(word)
             block.step(word)
@@ -158,12 +162,60 @@ class TestCacheManagement:
         stats = block.cpu_stats()
         assert stats["block_invalidations"] > 0
         assert stats["block_revalidations"] > 0
-        # The patch site trips the per-address invalidation limit, so the
-        # pathological block ends up table-stepped rather than recompiled
-        # forever, and the cache stays bounded.
+        # The patch site changes every frame, so it ends up single-stepped
+        # rather than recompiled forever, and the cache stays bounded.
         assert stats["fallback_steps"] > 0
         assert stats["blocks_compiled"] < 1000
         assert stats["cached_blocks"] <= stats["blocks_compiled"]
+        # No churn: once the patched word has changed twice no block spans
+        # it, so about one instruction a frame is single-stepped and the
+        # code around it is compiled once, not once per neighbouring pc
+        # until each hits the per-pc invalidation limit.
+        assert stats["blocks_compiled"] <= 16
+        assert stats["block_invalidations"] <= 8
+        assert stats["fallback_steps"] <= 2 * frames
+
+    def test_code_patched_once_runs_compiled(self):
+        """One patch is not churn: the patched word is recompiled into a
+        block, so single-stepping stops, even though two blocks spanned
+        the word when it changed."""
+        source = """
+        .equ FRAME, 0xFF02
+        .equ ACC,   0x0040
+        .org 0x0100
+        frame:
+            LDI  r0, 0
+            LD   r1, [r0+FRAME]
+            LD   r3, [r0+ACC]
+            CMPI r1, 1
+            JGE  body             ; from frame 1 on, body gets its own block
+            ADDI r3, 1
+        body:
+            LDI  r4, 0x1234
+        target:
+            .word 0x2034          ; ADD r3, r4 until the patch makes it XOR
+            ST   [r0+ACC], r3
+            CMPI r1, 3
+            JNZ  done
+            CALL patch            ; frame 3 only, from outside both blocks
+        done:
+            YIELD
+            JMP  frame
+        patch:
+            LDI  r5, 0x2434
+            ST   [r0+target], r5
+            RET
+        """
+        golden = Console(assemble(source), interpreter="reference")
+        block = Console(assemble(source))
+        steps = []
+        for frame in range(40):
+            golden.step(0)
+            block.step(0)
+            steps.append(block.cpu_stats()["fallback_steps"])
+        assert golden.save_state() == block.save_state()
+        assert block.cpu_stats()["block_invalidations"] == 2  # both spans
+        assert steps[-1] == steps[5]
 
     def test_add_hook_flushes_cache(self):
         """Registering an MMIO hook changes bus semantics: every compiled

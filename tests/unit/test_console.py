@@ -54,6 +54,11 @@ class TestStep:
         console.step(0)
         assert console.video.pixel(7, 0) == 7
 
+    def test_unknown_interpreter_rejected(self):
+        """The error names both valid interpreters."""
+        with pytest.raises(ValueError, match="'block' or 'reference'"):
+            Console(assemble(ECHO_ROM), interpreter="fast")
+
 
 class TestDeterminism:
     def test_same_inputs_same_checksums(self):

@@ -1,5 +1,8 @@
 """Unit tests for repro.core.inputs (bit strings and SET[k] partitions)."""
 
+import statistics
+import time
+
 import pytest
 
 from repro.core.inputs import (
@@ -133,6 +136,23 @@ class TestSources:
         assert all(
             source.get(f) & ~(Buttons.UP | Buttons.DOWN) == 0 for f in range(100)
         )
+
+    def test_random_source_new_frame_cost_is_flat(self):
+        """A new frame costs the same near frame 20 000 as near frame 100:
+        only the missing suffix is computed, with no scan of the history.
+        The two are timed interleaved, so host drift hits both alike."""
+        late, early = RandomSource(seed=3), RandomSource(seed=3)
+        late.get(20_000)
+        early.get(100)
+        late_s, early_s = [], []
+        for k in range(1, 301):
+            start = time.perf_counter()
+            late.get(20_000 + k)
+            late_s.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            early.get(100 + k)
+            early_s.append(time.perf_counter() - start)
+        assert statistics.median(late_s) < 3 * statistics.median(early_s)
 
     def test_random_source_negative_frame_is_zero(self):
         assert RandomSource(seed=1).get(-5) == 0
